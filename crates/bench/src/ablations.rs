@@ -4,7 +4,9 @@
 //! (and the `ablations` Criterion bench) can print the effect of the
 //! mechanism alone.
 
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{
+    Ablation as Overlay, Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine,
+};
 
 /// One ablation result.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,100 +30,106 @@ impl Ablation {
     }
 }
 
-fn limits() -> MeasureLimits {
-    MeasureLimits {
+fn engine(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits {
         max_measure_words: 32 * 1024,
         max_prime_words: 2 * 1024 * 1024,
-    }
+    })
+    .build()
+    .expect("paper machines build")
+}
+
+/// The DRAM-resident working set the mechanism ablations probe.
+const WS: u64 = 8 << 20;
+
+type Probe = fn(&mut TransferEngine) -> f64;
+
+fn contiguous_loads(m: &mut TransferEngine) -> f64 {
+    m.local_load(WS, 1).mb_s
+}
+
+fn contiguous_deposits(m: &mut TransferEngine) -> f64 {
+    m.remote_deposit(WS, 1).expect("T3D deposits").mb_s
+}
+
+fn contiguous_fetches(m: &mut TransferEngine) -> f64 {
+    m.remote_fetch(WS, 1).expect("T3D fetch").mb_s
 }
 
 /// Runs every ablation study.
 pub fn run_all() -> Vec<Ablation> {
-    let mut out = Vec::new();
-    let ws = 8 << 20;
-
-    // T3E stream buffers (paper footnote 3: ~120 MB/s without streaming).
-    {
-        let mut with = T3e::new();
-        with.set_limits(limits());
-        let mut without = T3e::new_without_streams();
-        without.set_limits(limits());
-        out.push(Ablation {
-            id: "t3e-streams-off",
-            machine: MachineId::CrayT3e,
-            description: "T3E stream buffers disabled (early test vehicle, footnote 3)",
-            with_mb_s: with.local_load(ws, 1).mb_s,
-            without_mb_s: without.local_load(ws, 1).mb_s,
-        });
-    }
-
-    // T3D read-ahead logic (§3.2: "can be turned on/off at program load time").
-    {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_without_read_ahead();
-        without.set_limits(limits());
-        out.push(Ablation {
-            id: "t3d-read-ahead-off",
-            machine: MachineId::CrayT3d,
-            description: "T3D external read-ahead logic disabled",
-            with_mb_s: with.local_load(ws, 1).mb_s,
-            without_mb_s: without.local_load(ws, 1).mb_s,
-        });
-    }
-
-    // T3D write-buffer coalescing (§3.2: coalesces into 32-byte entities).
-    {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_without_coalescing();
-        without.set_limits(limits());
-        out.push(Ablation {
-            id: "t3d-coalescing-off",
-            machine: MachineId::CrayT3d,
-            description: "T3D write-back queue coalescing disabled (contiguous deposits)",
-            with_mb_s: with.remote_deposit(ws, 1).expect("T3D deposits").mb_s,
-            without_mb_s: without.remote_deposit(ws, 1).expect("T3D deposits").mb_s,
-        });
-    }
-
-    // T3D prefetch FIFO vs blocking remote loads (§3.2).
-    {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_with_blocking_fetch();
-        without.set_limits(limits());
-        out.push(Ablation {
-            id: "t3d-blocking-fetch",
-            machine: MachineId::CrayT3d,
-            description: "T3D prefetch FIFO unused: transparent blocking remote loads",
-            with_mb_s: with.remote_fetch(ws, 1).expect("T3D fetch").mb_s,
-            without_mb_s: without.remote_fetch(ws, 1).expect("T3D fetch").mb_s,
-        });
-    }
-
-    // T3D node-pair link sharing (footnote 1: 70 MB/s per PE when shared).
-    {
-        let mut with = T3d::new();
-        with.set_limits(limits());
-        let mut without = T3d::new_with_paired_traffic();
-        without.set_limits(limits());
-        out.push(Ablation {
-            id: "t3d-paired-traffic",
-            machine: MachineId::CrayT3d,
-            description: "both PEs of a T3D node pair communicate simultaneously",
-            with_mb_s: with.remote_deposit(ws, 1).expect("T3D deposits").mb_s,
-            without_mb_s: without.remote_deposit(ws, 1).expect("T3D deposits").mb_s,
-        });
-    }
+    let overlays: [(&str, MachineSpec, Overlay, Probe, &str); 5] = [
+        // Paper footnote 3: ~120 MB/s without streaming.
+        (
+            "t3e-streams-off",
+            MachineSpec::t3e(),
+            Overlay::NoStreams,
+            contiguous_loads,
+            "T3E stream buffers disabled (early test vehicle, footnote 3)",
+        ),
+        // §3.2: "can be turned on/off at program load time".
+        (
+            "t3d-read-ahead-off",
+            MachineSpec::t3d(),
+            Overlay::NoReadAhead,
+            contiguous_loads,
+            "T3D external read-ahead logic disabled",
+        ),
+        // §3.2: coalesces into 32-byte entities.
+        (
+            "t3d-coalescing-off",
+            MachineSpec::t3d(),
+            Overlay::NoCoalescing,
+            contiguous_deposits,
+            "T3D write-back queue coalescing disabled (contiguous deposits)",
+        ),
+        // §3.2: prefetch FIFO vs blocking remote loads.
+        (
+            "t3d-blocking-fetch",
+            MachineSpec::t3d(),
+            Overlay::BlockingFetch,
+            contiguous_fetches,
+            "T3D prefetch FIFO unused: transparent blocking remote loads",
+        ),
+        // Footnote 1: 70 MB/s per PE when the node pair shares the link.
+        (
+            "t3d-paired-traffic",
+            MachineSpec::t3d(),
+            Overlay::PairedTraffic,
+            contiguous_deposits,
+            "both PEs of a T3D node pair communicate simultaneously",
+        ),
+    ];
+    let mut out: Vec<Ablation> = overlays
+        .into_iter()
+        .map(|(id, spec, overlay, probe, description)| {
+            let ablated = spec
+                .clone()
+                .ablate(overlay)
+                .expect("the overlay fits its machine");
+            Ablation {
+                id,
+                machine: spec.id(),
+                description,
+                with_mb_s: probe(&mut engine(spec)),
+                without_mb_s: probe(&mut engine(ablated)),
+            }
+        })
+        .collect();
 
     // 8400 bus burst protocol (§3.1: 2.4 GB/s peak, 1.6 GB/s under the
     // best burst protocol). A single latency-bound consumer barely notices,
     // so the ablation reports the protocol's *ceiling* — the rate the bus
     // sustains for back-to-back line transactions, which is what bounds the
     // four-processor transposes of figs 15-17.
+    let mut dec = engine(MachineSpec::dec8400());
     {
-        let bus_on = gasnub_machines::params::dec8400_smp().bus;
+        let bus_on = dec
+            .smp_system()
+            .expect("the 8400 is bus-based")
+            .config()
+            .bus
+            .clone();
         let mut bus_off = bus_on.clone();
         bus_off.burst = false;
         let line = 64;
@@ -136,19 +144,15 @@ pub fn run_all() -> Vec<Ablation> {
 
     // 8400 L3-blocked communication (§6.1/§9: blocked cache-to-cache
     // transfers beat DRAM-to-DRAM remote copies for strided data).
-    {
-        let mut m = Dec8400::new();
-        m.set_limits(limits());
-        let blocked = m.remote_load(2 << 20, 16).expect("8400 pulls").mb_s;
-        let unblocked = m.remote_load(32 << 20, 16).expect("8400 pulls").mb_s;
-        out.push(Ablation {
-            id: "dec8400-blocked-transpose",
-            machine: MachineId::Dec8400,
-            description: "strided pull from the producer's L3 (blocked) vs from DRAM",
-            with_mb_s: blocked,
-            without_mb_s: unblocked,
-        });
-    }
+    let blocked = dec.remote_load(2 << 20, 16).expect("8400 pulls").mb_s;
+    let unblocked = dec.remote_load(32 << 20, 16).expect("8400 pulls").mb_s;
+    out.push(Ablation {
+        id: "dec8400-blocked-transpose",
+        machine: MachineId::Dec8400,
+        description: "strided pull from the producer's L3 (blocked) vs from DRAM",
+        with_mb_s: blocked,
+        without_mb_s: unblocked,
+    });
 
     out
 }

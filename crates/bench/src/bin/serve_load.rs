@@ -22,6 +22,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
+use gasnub_bench::SERVE_MIX_TENTHS;
 use gasnub_core::json::Json;
 use gasnub_core::{Grid, ResilientSweep, SweepOp};
 use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
@@ -65,20 +66,22 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
 const MACHINES: [&str; 3] = ["t3d", "t3e", "dec8400"];
 
 /// One seeded request: the JSON body and which endpoint it targets.
-/// ~70% probes over a small key space (warm memo hits after the first
-/// pass), ~20% sweeps of two shared grids (cache hits / coalesces),
-/// ~10% sweeps of a grid unique to (client, index) — guaranteed misses.
+/// In the shares of [`SERVE_MIX_TENTHS`]: probes over a small key space
+/// (warm memo hits after the first pass), sweeps of two shared grids
+/// (cache hits / coalesces), and sweeps of a grid unique to
+/// (client, index) — guaranteed misses.
 fn next_request(rng: &mut Rng, client: u64, index: u64) -> (&'static str, String) {
+    let [probes, shared, _unique] = SERVE_MIX_TENTHS;
     let machine = MACHINES[rng.gen_range(0, MACHINES.len() as u64) as usize];
     let draw = rng.gen_range(0, 10);
-    if draw < 7 {
+    if draw < probes {
         let ws = 2048u64 << rng.gen_range(0, 5); // 2K..32K
         let stride = 1u64 << rng.gen_range(0, 4); // 1..8
         (
             "/v1/probe",
             format!(r#"{{"machine":"{machine}","op":"load","ws_bytes":{ws},"stride":{stride}}}"#),
         )
-    } else if draw < 9 {
+    } else if draw < probes + shared {
         // One of two shared grids: computed once, then memory hits.
         let grid = if rng.gen_bool(0.5) {
             r#"{"strides":[1,8],"working_sets":[2048,32768]}"#

@@ -1,21 +1,20 @@
 //! Exhibits beyond the paper's figures: the §9 summary table, the indexed
 //! (gather) access class, and the false-sharing experiment of §1.
 
+use gasnub_coherence::smp::SnoopingSmp;
 use gasnub_core::bench::local_gather_curve;
 use gasnub_core::compare::Comparison;
 use gasnub_core::sweep::Grid;
-use gasnub_machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub_machines::{Machine, MachineRegistry, MachineSpec, MeasureLimits};
 
 fn machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
+    MachineRegistry::builtin()
+        .paper_specs()
+        .map(|spec| -> Box<dyn Machine> {
+            let spec = spec.clone().with_limits(MeasureLimits::fast());
+            Box::new(spec.build().expect("paper machines build"))
+        })
+        .collect()
 }
 
 /// The §9 cross-machine summary table.
@@ -112,8 +111,11 @@ pub fn t3e_fetch_rewrite(n: usize) -> String {
 
 /// The §1 false-sharing experiment on the 8400.
 pub fn false_sharing() -> String {
-    let mut smp = gasnub_coherence::smp::SnoopingSmp::new(gasnub_machines::params::dec8400_smp())
-        .expect("built-in parameters validate");
+    let dec = MachineSpec::dec8400()
+        .build()
+        .expect("paper machines build");
+    let config = dec.smp_system().expect("the 8400 is bus-based").config();
+    let mut smp = SnoopingSmp::new(config.clone()).expect("built-in parameters validate");
     let shared = smp.alternating_store_cycles(500, 1);
     let private = smp.alternating_store_cycles(500, 8);
     format!(

@@ -1,12 +1,10 @@
 //! One regeneration target per figure of the paper.
 
-use gasnub_core::bench::{
-    local_load_surface, remote_deposit_surface, remote_fetch_surface, remote_load_surface,
-};
+use gasnub_core::bench::{sweep_surface, SweepOp};
 use gasnub_core::surface::Surface;
 use gasnub_core::sweep::Grid;
 use gasnub_fft::run_benchmark;
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 /// The rendered output of one figure: a terminal table and machine-readable
 /// CSV.
@@ -47,17 +45,11 @@ impl std::fmt::Debug for Figure {
 }
 
 fn machine(id: MachineId) -> Box<dyn Machine> {
-    let mut m: Box<dyn Machine> = match id {
-        MachineId::Dec8400 => Box::new(Dec8400::new()),
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        MachineId::Custom => unreachable!("figures cover only the paper's machines"),
-    };
-    m.set_limits(MeasureLimits {
+    let spec = MachineSpec::for_id(id).with_limits(MeasureLimits {
         max_measure_words: 32 * 1024,
         max_prime_words: 2 * 1024 * 1024,
     });
-    m
+    Box::new(spec.build().expect("paper machines build"))
 }
 
 fn local_grid(quick: bool, max_ws: u64) -> Grid {
@@ -84,66 +76,45 @@ fn surface_output(s: Surface) -> FigureOutput {
     }
 }
 
-fn surface_figure(
-    id: MachineId,
-    quick: bool,
-    max_ws: u64,
-    f: impl Fn(&mut dyn Machine, &Grid) -> Option<Surface>,
-) -> FigureOutput {
+fn surface_figure(id: MachineId, quick: bool, max_ws: u64, op: SweepOp) -> FigureOutput {
     let mut m = machine(id);
     let grid = local_grid(quick, max_ws);
-    let s = f(m.as_mut(), &grid).expect("surface supported on this machine");
+    let s = sweep_surface(m.as_mut(), op, &grid).expect("surface supported on this machine");
     surface_output(s)
 }
 
 // ---------------------------------------------------------------- figs 1-8
 
 fn fig01(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::Dec8400, quick, 128 << 20, |m, g| {
-        Some(local_load_surface(m, g))
-    })
+    surface_figure(MachineId::Dec8400, quick, 128 << 20, SweepOp::LocalLoad)
 }
 
 fn fig02(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::Dec8400, quick, 8 << 20, |m, g| {
-        remote_load_surface(m, g)
-    })
+    surface_figure(MachineId::Dec8400, quick, 8 << 20, SweepOp::RemoteLoad)
 }
 
 fn fig03(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3d, quick, 16 << 20, |m, g| {
-        Some(local_load_surface(m, g))
-    })
+    surface_figure(MachineId::CrayT3d, quick, 16 << 20, SweepOp::LocalLoad)
 }
 
 fn fig04(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3d, quick, 8 << 20, |m, g| {
-        remote_fetch_surface(m, g)
-    })
+    surface_figure(MachineId::CrayT3d, quick, 8 << 20, SweepOp::RemoteFetch)
 }
 
 fn fig05(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3d, quick, 8 << 20, |m, g| {
-        remote_deposit_surface(m, g)
-    })
+    surface_figure(MachineId::CrayT3d, quick, 8 << 20, SweepOp::RemoteDeposit)
 }
 
 fn fig06(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3e, quick, 8 << 20, |m, g| {
-        Some(local_load_surface(m, g))
-    })
+    surface_figure(MachineId::CrayT3e, quick, 8 << 20, SweepOp::LocalLoad)
 }
 
 fn fig07(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3e, quick, 8 << 20, |m, g| {
-        remote_fetch_surface(m, g)
-    })
+    surface_figure(MachineId::CrayT3e, quick, 8 << 20, SweepOp::RemoteFetch)
 }
 
 fn fig08(quick: bool) -> FigureOutput {
-    surface_figure(MachineId::CrayT3e, quick, 8 << 20, |m, g| {
-        remote_deposit_surface(m, g)
-    })
+    surface_figure(MachineId::CrayT3e, quick, 8 << 20, SweepOp::RemoteDeposit)
 }
 
 // -------------------------------------------------------------- figs 9-14

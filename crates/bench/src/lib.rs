@@ -15,3 +15,8 @@ pub mod extras;
 pub mod figures;
 
 pub use figures::{all_figures, figure_by_id, Figure, FigureOutput};
+
+/// The request mix of the `serve_load` load generator, in tenths of all
+/// requests: repeated probes, shared-grid sweeps and unique-grid sweeps.
+/// `experiments` prints the same shares next to `BENCH_10.json`'s numbers.
+pub const SERVE_MIX_TENTHS: [u64; 3] = [7, 2, 1];

@@ -17,15 +17,6 @@ use crate::pool::run_indexed;
 use crate::surface::Surface;
 use crate::sweep::Grid;
 
-/// Which side of a copy is strided (the legend of figs 9-11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CopyVariant {
-    /// Strided loads, contiguous stores (the `o` series).
-    StridedLoads,
-    /// Contiguous loads, strided stores (the `◆`/`x` series).
-    StridedStores,
-}
-
 /// One sweepable benchmark, as a value: the operation the CLI names on the
 /// command line and the parallel sweep dispatches per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +78,9 @@ impl SweepOp {
         }
     }
 
-    /// The surface title for a machine called `name` — identical to the
-    /// titles the per-surface sweep functions use, so checkpoints written
-    /// by either path interoperate.
+    /// The surface title for a machine called `name` — the title both
+    /// [`sweep_surface`] and [`sweep_surface_par`] give, so checkpoints
+    /// written by either path interoperate.
     pub fn title_for(self, name: &str) -> String {
         match self {
             SweepOp::LocalLoad => format!("{name} local loads"),
@@ -162,17 +153,6 @@ impl SweepOp {
     pub fn measure(self, machine: &mut dyn Machine, ws_bytes: u64, stride: u64) -> Option<f64> {
         dispatch(machine, &self.request(ws_bytes, stride)).mb_s()
     }
-
-    /// Measures one cell on `machine`. `None` when the operation is
-    /// unsupported there.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `measure`, or build a `ProbeRequest` via `request` and hand it to a \
-                `ProbeBackend` / `gasnub_machines::dispatch`"
-    )]
-    pub fn probe(self, machine: &mut dyn Machine, ws_bytes: u64, stride: u64) -> Option<f64> {
-        self.measure(machine, ws_bytes, stride)
-    }
 }
 
 /// Sweeps `op` over `grid` on `threads` workers using the warm execution
@@ -224,16 +204,17 @@ pub fn sweep_surface_par<S: SpawnEngine>(
     )))
 }
 
-fn sweep(
-    title: String,
-    grid: &Grid,
-    mut probe: impl FnMut(u64, u64) -> Option<f64>,
-) -> Option<Surface> {
+/// Sweeps `op` over `grid` on one machine, cell by cell in grid order —
+/// the sequential reference that [`sweep_surface_par`] and the resilient
+/// runner must match bit for bit. Returns `None` when the machine does not
+/// support `op`.
+pub fn sweep_surface(machine: &mut dyn Machine, op: SweepOp, grid: &Grid) -> Option<Surface> {
+    let title = op.title_for(&machine.name());
     let mut values = Vec::with_capacity(grid.working_sets.len());
     for &ws in &grid.working_sets {
         let mut row = Vec::with_capacity(grid.strides.len());
         for &stride in &grid.strides {
-            row.push(probe(ws, stride)?);
+            row.push(op.measure(machine, ws, stride)?);
         }
         values.push(row);
     }
@@ -243,69 +224,6 @@ fn sweep(
         grid.working_sets.clone(),
         values,
     ))
-}
-
-/// Sweeps the Load-Sum benchmark (figs 1, 3, 6).
-pub fn local_load_surface(machine: &mut dyn Machine, grid: &Grid) -> Surface {
-    let title = format!("{} local loads", machine.name());
-    sweep(title, grid, |ws, stride| {
-        Some(machine.local_load(ws, stride).mb_s)
-    })
-    .expect("local loads are always supported")
-}
-
-/// Sweeps the Store-Constant benchmark.
-pub fn local_store_surface(machine: &mut dyn Machine, grid: &Grid) -> Surface {
-    let title = format!("{} local stores", machine.name());
-    sweep(title, grid, |ws, stride| {
-        Some(machine.local_store(ws, stride).mb_s)
-    })
-    .expect("local stores are always supported")
-}
-
-/// Sweeps the Load/Store copy benchmark (figs 9-11 fix the working set;
-/// the full surface also covers the cache-blocked regimes of §6.1).
-pub fn local_copy_surface(machine: &mut dyn Machine, grid: &Grid, variant: CopyVariant) -> Surface {
-    let title = format!(
-        "{} local copy ({})",
-        machine.name(),
-        match variant {
-            CopyVariant::StridedLoads => "strided loads/contiguous stores",
-            CopyVariant::StridedStores => "contiguous loads/strided stores",
-        }
-    );
-    sweep(title, grid, |ws, stride| {
-        let (ls, ss) = match variant {
-            CopyVariant::StridedLoads => (stride, 1),
-            CopyVariant::StridedStores => (1, stride),
-        };
-        Some(machine.local_copy(ws, ls, ss).mb_s)
-    })
-    .expect("local copies are always supported")
-}
-
-/// Sweeps pure remote loads (fig 2). `None` if unsupported.
-pub fn remote_load_surface(machine: &mut dyn Machine, grid: &Grid) -> Option<Surface> {
-    let title = format!("{} remote loads (pull)", machine.name());
-    sweep(title, grid, |ws, stride| {
-        machine.remote_load(ws, stride).map(|m| m.mb_s)
-    })
-}
-
-/// Sweeps fetch transfers (figs 4, 7). `None` if unsupported.
-pub fn remote_fetch_surface(machine: &mut dyn Machine, grid: &Grid) -> Option<Surface> {
-    let title = format!("{} remote fetch", machine.name());
-    sweep(title, grid, |ws, stride| {
-        machine.remote_fetch(ws, stride).map(|m| m.mb_s)
-    })
-}
-
-/// Sweeps deposit transfers (figs 5, 8). `None` if unsupported.
-pub fn remote_deposit_surface(machine: &mut dyn Machine, grid: &Grid) -> Option<Surface> {
-    let title = format!("{} remote deposit", machine.name());
-    sweep(title, grid, |ws, stride| {
-        machine.remote_deposit(ws, stride).map(|m| m.mb_s)
-    })
 }
 
 /// Sweeps the indexed (gather) benchmark along the working-set axis — a 1D
@@ -320,21 +238,29 @@ pub fn local_gather_curve(machine: &mut dyn Machine, working_sets: &[u64]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d, T3e};
+    use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
 
-    fn fast<M: Machine>(mut m: M) -> M {
-        m.set_limits(MeasureLimits::fast());
+    fn fast(spec: MachineSpec) -> TransferEngine {
+        spec.with_limits(MeasureLimits::fast()).build().unwrap()
+    }
+
+    /// A fast engine kept off the probe memo by its recorder, so the
+    /// sequential oracle re-simulates instead of reading back cells that
+    /// another engine of the same spec memoized.
+    fn unmemoized(spec: MachineSpec) -> TransferEngine {
+        let mut m = fast(spec);
+        m.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
         m
     }
 
     #[test]
     fn t3d_load_surface_has_two_plateaus() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![4 << 10, 4 << 20],
         };
-        let s = local_load_surface(&mut m, &grid);
+        let s = sweep_surface(&mut m, SweepOp::LocalLoad, &grid).unwrap();
         let l1 = s.value(4 << 10, 1).unwrap();
         let dram_contig = s.value(4 << 20, 1).unwrap();
         let dram_strided = s.value(4 << 20, 16).unwrap();
@@ -347,27 +273,27 @@ mod tests {
 
     #[test]
     fn dec8400_remote_surfaces() {
-        let mut m = fast(Dec8400::new());
+        let mut m = fast(MachineSpec::dec8400());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![8 << 20],
         };
-        assert!(remote_load_surface(&mut m, &grid).is_some());
-        assert!(remote_fetch_surface(&mut m, &grid).is_some());
+        assert!(sweep_surface(&mut m, SweepOp::RemoteLoad, &grid).is_some());
+        assert!(sweep_surface(&mut m, SweepOp::RemoteFetch, &grid).is_some());
         assert!(
-            remote_deposit_surface(&mut m, &grid).is_none(),
+            sweep_surface(&mut m, SweepOp::RemoteDeposit, &grid).is_none(),
             "8400 cannot push"
         );
     }
 
     #[test]
     fn t3e_deposit_surface_shows_ripples() {
-        let mut m = fast(T3e::new());
+        let mut m = fast(MachineSpec::t3e());
         let grid = Grid {
             strides: vec![15, 16],
             working_sets: vec![4 << 20],
         };
-        let s = remote_deposit_surface(&mut m, &grid).unwrap();
+        let s = sweep_surface(&mut m, SweepOp::RemoteDeposit, &grid).unwrap();
         let odd = s.value(4 << 20, 15).unwrap();
         let even = s.value(4 << 20, 16).unwrap();
         assert!(odd > 1.5 * even, "ripples: odd {odd} vs even {even}");
@@ -375,13 +301,13 @@ mod tests {
 
     #[test]
     fn copy_variants_differ_on_the_t3d() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![16],
             working_sets: vec![4 << 20],
         };
-        let loads = local_copy_surface(&mut m, &grid, CopyVariant::StridedLoads);
-        let stores = local_copy_surface(&mut m, &grid, CopyVariant::StridedStores);
+        let loads = sweep_surface(&mut m, SweepOp::CopyStridedLoads, &grid).unwrap();
+        let stores = sweep_surface(&mut m, SweepOp::CopyStridedStores, &grid).unwrap();
         assert!(
             stores.value(4 << 20, 16).unwrap() > loads.value(4 << 20, 16).unwrap(),
             "T3D strided stores must beat strided loads"
@@ -390,7 +316,7 @@ mod tests {
 
     #[test]
     fn gather_curve_falls_with_working_set() {
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let curve = local_gather_curve(&mut m, &[4 << 10, 4 << 20]);
         assert_eq!(curve.len(), 2);
         assert!(
@@ -402,12 +328,12 @@ mod tests {
     #[test]
     fn measured_surface_reveals_the_cache_sizes() {
         // Working-set spectroscopy on the simulated T3D finds its 8 KB L1.
-        let mut m = fast(T3d::new());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10],
         };
-        let s = local_load_surface(&mut m, &grid);
+        let s = sweep_surface(&mut m, SweepOp::LocalLoad, &grid).unwrap();
         let caches = s.inferred_cache_bytes();
         assert_eq!(
             caches,
@@ -418,12 +344,12 @@ mod tests {
 
     #[test]
     fn store_surface_runs() {
-        let mut m = fast(T3e::new());
+        let mut m = fast(MachineSpec::t3e());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![64 << 10],
         };
-        let s = local_store_surface(&mut m, &grid);
+        let s = sweep_surface(&mut m, SweepOp::LocalStore, &grid).unwrap();
         assert!(s.peak() > 0.0);
     }
 
@@ -437,14 +363,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
-        use gasnub_machines::MachineSpec;
         let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
         let grid = Grid {
             strides: vec![1, 8, 16],
             working_sets: vec![32 << 10, 4 << 20],
         };
-        let mut m = fast(T3d::new());
-        let sequential = remote_deposit_surface(&mut m, &grid).unwrap();
+        let mut m = unmemoized(MachineSpec::t3d());
+        let sequential = sweep_surface(&mut m, SweepOp::RemoteDeposit, &grid).unwrap();
         let parallel = sweep_surface_par(&spec, SweepOp::RemoteDeposit, &grid, 4)
             .unwrap()
             .unwrap();
@@ -460,7 +385,6 @@ mod tests {
 
     #[test]
     fn parallel_sweep_of_unsupported_op_is_none() {
-        use gasnub_machines::MachineSpec;
         let spec = MachineSpec::dec8400().with_limits(MeasureLimits::fast());
         let grid = Grid {
             strides: vec![1],
@@ -471,24 +395,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_titles_match_sequential_titles() {
-        let mut m = fast(T3d::new());
-        let name = m.name();
+    fn sweep_titles_spell_the_figure_legends() {
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![32 << 10],
         };
+        let mut title = |op| {
+            sweep_surface(&mut m, op, &grid)
+                .unwrap()
+                .title()
+                .to_string()
+        };
+        assert_eq!(title(SweepOp::LocalLoad), "Cray T3D (150 MHz) local loads");
         assert_eq!(
-            local_load_surface(&mut m, &grid).title(),
-            SweepOp::LocalLoad.title_for(&name)
+            title(SweepOp::CopyStridedStores),
+            "Cray T3D (150 MHz) local copy (contiguous loads/strided stores)"
         );
         assert_eq!(
-            local_copy_surface(&mut m, &grid, CopyVariant::StridedStores).title(),
-            SweepOp::CopyStridedStores.title_for(&name)
-        );
-        assert_eq!(
-            remote_fetch_surface(&mut m, &grid).unwrap().title(),
-            SweepOp::RemoteFetch.title_for(&name)
+            title(SweepOp::RemoteFetch),
+            "Cray T3D (150 MHz) remote fetch"
         );
     }
 }

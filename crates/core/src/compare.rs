@@ -123,17 +123,19 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d, T3e};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
 
     fn comparison() -> Comparison {
-        let mut machines: Vec<Box<dyn Machine>> = vec![
-            Box::new(Dec8400::new()),
-            Box::new(T3d::new()),
-            Box::new(T3e::new()),
-        ];
-        for m in &mut machines {
-            m.set_limits(MeasureLimits::fast());
-        }
+        let mut machines: Vec<Box<dyn Machine>> = [
+            MachineSpec::dec8400(),
+            MachineSpec::t3d(),
+            MachineSpec::t3e(),
+        ]
+        .into_iter()
+        .map(|spec| -> Box<dyn Machine> {
+            Box::new(spec.with_limits(MeasureLimits::fast()).build().unwrap())
+        })
+        .collect();
         Comparison::measure(&mut machines, 32 << 20)
     }
 

@@ -213,14 +213,14 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d, T3e};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
 
     // Large enough to be DRAM-resident even past the 8400's 4 MB L3 — the
     // cost model's asymptotic regime (the paper's figs 12-14 use 65 MB).
     const WS: u64 = 32 << 20;
 
-    fn model<M: Machine>(mut m: M) -> CostModel {
-        m.set_limits(MeasureLimits::fast());
+    fn model(spec: MachineSpec) -> CostModel {
+        let mut m = spec.with_limits(MeasureLimits::fast()).build().unwrap();
         CostModel::characterize(&mut m, &[1, 15, 16], WS)
     }
 
@@ -228,7 +228,7 @@ mod tests {
     fn t3d_prefers_deposit() {
         // §9: "On the T3D, pulling data (fetch model) proves to be
         // consistently inferior than pushing data (deposit model)."
-        let m = model(T3d::new());
+        let m = model(MachineSpec::t3d());
         for stride in [1, 15, 16] {
             let best = m.best(100_000, stride);
             assert_eq!(
@@ -243,7 +243,7 @@ mod tests {
     fn t3e_prefers_fetch_for_even_strides() {
         // §9: "On the T3E, pulling data seems to work equally well (odd
         // strides) or better (even strides) than pushing data."
-        let m = model(T3e::new());
+        let m = model(MachineSpec::t3e());
         let best = m.best(100_000, 16);
         assert_eq!(best.strategy, Strategy::Fetch);
         // Odd strides: roughly equal; neither should dominate by 2x.
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn dec8400_only_pulls() {
-        let m = model(Dec8400::new());
+        let m = model(MachineSpec::dec8400());
         let best = m.best(100_000, 16);
         assert!(
             matches!(
@@ -272,7 +272,7 @@ mod tests {
         // §6.2/§9: "strided remote transfers can be done faster from L3
         // cache if a global communication operation can be blocked" — the
         // L3-resident supplier beats the DRAM-resident one.
-        let m = model(Dec8400::new());
+        let m = model(MachineSpec::dec8400());
         let blocked = m.estimate(Strategy::BlockedFetch, 1 << 20, 16).unwrap();
         let straight = m.estimate(Strategy::Fetch, 1 << 20, 16).unwrap();
         assert!(
@@ -286,7 +286,7 @@ mod tests {
         // The Crays' remote rates do not depend on the producer's caches
         // (E-registers and the deposit circuitry read/write memory
         // directly), so blocking only adds synchronization.
-        for m in [model(T3d::new()), model(T3e::new())] {
+        for m in [model(MachineSpec::t3d()), model(MachineSpec::t3e())] {
             let best = m.best(1 << 20, 16);
             assert_ne!(
                 best.strategy,
@@ -301,7 +301,11 @@ mod tests {
     fn packing_never_pays_off() {
         // §9: "using local memory copies to rearrange access patterns, or
         // pack communication buffers or blocks, never pays off."
-        for m in [model(T3d::new()), model(T3e::new()), model(Dec8400::new())] {
+        for m in [
+            model(MachineSpec::t3d()),
+            model(MachineSpec::t3e()),
+            model(MachineSpec::dec8400()),
+        ] {
             for stride in [15, 16] {
                 let best = m.best(100_000, stride);
                 assert!(
@@ -318,7 +322,7 @@ mod tests {
 
     #[test]
     fn rank_is_sorted_and_estimates_scale_linearly() {
-        let m = model(T3d::new());
+        let m = model(MachineSpec::t3d());
         let ranked = m.rank(10_000, 16);
         assert!(ranked.windows(2).all(|w| w[0].us <= w[1].us));
         let one = m.estimate(Strategy::Deposit, 10_000, 16).unwrap();
@@ -328,7 +332,7 @@ mod tests {
 
     #[test]
     fn unknown_stride_is_none() {
-        let m = model(T3d::new());
+        let m = model(MachineSpec::t3d());
         assert!(m.estimate(Strategy::Deposit, 10, 7).is_none());
     }
 }

@@ -52,15 +52,15 @@
 //!
 //! ```rust
 //! use gasnub_core::sweep::Grid;
-//! use gasnub_core::bench::local_load_surface;
-//! use gasnub_machines::{Machine, MeasureLimits, T3d};
+//! use gasnub_core::bench::{sweep_surface, SweepOp};
+//! use gasnub_machines::{MachineSpec, MeasureLimits};
 //!
-//! let mut t3d = T3d::new();
-//! t3d.set_limits(MeasureLimits::fast());
-//! let surface = local_load_surface(&mut t3d, &Grid::quick());
+//! let mut t3d = MachineSpec::t3d().with_limits(MeasureLimits::fast()).build()?;
+//! let surface = sweep_surface(&mut t3d, SweepOp::LocalLoad, &Grid::quick()).unwrap();
 //! // Contiguous DRAM access is far faster than strided on the T3D.
 //! let ws = 4 * 1024 * 1024;
 //! assert!(surface.value(ws, 1).unwrap() > 2.0 * surface.value(ws, 16).unwrap());
+//! # Ok::<(), gasnub_memsim::ConfigError>(())
 //! ```
 
 pub mod bench;
@@ -80,10 +80,7 @@ pub mod sweep;
 pub use chaos::{AppliedFault, FaultInjector, StorageFault};
 pub use storage::{read_verified, write_durable, CheckpointError};
 
-pub use bench::{
-    local_copy_surface, local_load_surface, local_store_surface, remote_deposit_surface,
-    remote_fetch_surface, remote_load_surface, sweep_surface_par, CopyVariant, SweepOp,
-};
+pub use bench::{sweep_surface, sweep_surface_par, SweepOp};
 pub use compare::{Comparison, MachineSummary};
 pub use cost::{CostModel, Strategy, TransferEstimate};
 pub use counters::{collect_counters, CellReport, CounterReport};

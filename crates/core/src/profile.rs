@@ -4,10 +4,7 @@
 use gasnub_machines::{Machine, MachineId, SpawnEngine};
 use gasnub_memsim::SimError;
 
-use crate::bench::{
-    local_copy_surface, local_load_surface, remote_deposit_surface, remote_fetch_surface,
-    remote_load_surface, sweep_surface_par, CopyVariant, SweepOp,
-};
+use crate::bench::{sweep_surface, sweep_surface_par, SweepOp};
 use crate::surface::Surface;
 use crate::sweep::Grid;
 
@@ -36,19 +33,20 @@ impl MachineProfile {
     /// Measures every supported surface of `machine` over `local_grid`
     /// (local benchmarks) and `remote_grid` (remote benchmarks).
     pub fn measure(machine: &mut dyn Machine, local_grid: &Grid, remote_grid: &Grid) -> Self {
+        let (id, name) = (machine.id(), machine.name());
+        let mut surface = |op: SweepOp, grid: &Grid| sweep_surface(machine, op, grid);
         MachineProfile {
-            machine: machine.id(),
-            name: machine.name(),
-            local_loads: local_load_surface(machine, local_grid),
-            copy_strided_loads: local_copy_surface(machine, local_grid, CopyVariant::StridedLoads),
-            copy_strided_stores: local_copy_surface(
-                machine,
-                local_grid,
-                CopyVariant::StridedStores,
-            ),
-            remote_loads: remote_load_surface(machine, remote_grid),
-            remote_fetch: remote_fetch_surface(machine, remote_grid),
-            remote_deposit: remote_deposit_surface(machine, remote_grid),
+            machine: id,
+            name,
+            local_loads: surface(SweepOp::LocalLoad, local_grid)
+                .expect("local loads are supported everywhere"),
+            copy_strided_loads: surface(SweepOp::CopyStridedLoads, local_grid)
+                .expect("local copies are supported everywhere"),
+            copy_strided_stores: surface(SweepOp::CopyStridedStores, local_grid)
+                .expect("local copies are supported everywhere"),
+            remote_loads: surface(SweepOp::RemoteLoad, remote_grid),
+            remote_fetch: surface(SweepOp::RemoteFetch, remote_grid),
+            remote_deposit: surface(SweepOp::RemoteDeposit, remote_grid),
         }
     }
 
@@ -112,12 +110,24 @@ impl MachineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, MeasureLimits, T3d};
+    use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
+
+    fn fast(spec: MachineSpec) -> TransferEngine {
+        spec.with_limits(MeasureLimits::fast()).build().unwrap()
+    }
+
+    /// A fast engine kept off the probe memo by its recorder, so the
+    /// sequential oracle re-simulates instead of reading back cells that
+    /// another engine of the same spec memoized.
+    fn unmemoized(spec: MachineSpec) -> TransferEngine {
+        let mut m = fast(spec);
+        m.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
+        m
+    }
 
     #[test]
     fn t3d_profile_has_both_remote_directions() {
-        let mut m = T3d::new();
-        m.set_limits(MeasureLimits::fast());
+        let mut m = fast(MachineSpec::t3d());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![1 << 20],
@@ -132,14 +142,12 @@ mod tests {
 
     #[test]
     fn parallel_profile_is_bit_identical_to_sequential() {
-        use gasnub_machines::MachineSpec;
         let spec = MachineSpec::t3e().with_limits(MeasureLimits::fast());
         let grid = Grid {
             strides: vec![1, 16],
             working_sets: vec![1 << 20],
         };
-        let mut m = gasnub_machines::T3e::new();
-        m.set_limits(MeasureLimits::fast());
+        let mut m = unmemoized(MachineSpec::t3e());
         let sequential = MachineProfile::measure(&mut m, &grid, &grid);
         let parallel = MachineProfile::measure_parallel(&spec, &grid, &grid, 4).unwrap();
         assert_eq!(parallel, sequential);
@@ -147,8 +155,7 @@ mod tests {
 
     #[test]
     fn dec8400_profile_has_pull_only() {
-        let mut m = Dec8400::new();
-        m.set_limits(MeasureLimits::fast());
+        let mut m = fast(MachineSpec::dec8400());
         let grid = Grid {
             strides: vec![1],
             working_sets: vec![1 << 20],

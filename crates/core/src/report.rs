@@ -7,7 +7,7 @@
 
 use gasnub_machines::Machine;
 
-use crate::bench::local_load_surface;
+use crate::bench::{sweep_surface, SweepOp};
 use crate::cost::CostModel;
 use crate::profile::MachineProfile;
 use crate::sweep::Grid;
@@ -52,7 +52,8 @@ pub fn machine_report(machine: &mut dyn Machine, options: &ReportOptions) -> Str
     ));
 
     // 1. Working-set spectroscopy.
-    let loads = local_load_surface(machine, &options.local_grid);
+    let loads = sweep_surface(machine, SweepOp::LocalLoad, &options.local_grid)
+        .expect("local loads are supported everywhere");
     let caches = loads.inferred_cache_bytes();
     out.push_str("## Inferred cache structure\n\n");
     if caches.is_empty() {
@@ -117,14 +118,15 @@ pub fn machine_report(machine: &mut dyn Machine, options: &ReportOptions) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::custom::CustomMachineBuilder;
-    use gasnub_machines::{MeasureLimits, T3d};
+    use gasnub_machines::{MachineSpec, MeasureLimits};
     use gasnub_memsim::config::presets;
 
     #[test]
     fn t3d_report_contains_all_sections() {
-        let mut m = T3d::new();
-        m.set_limits(MeasureLimits::fast());
+        let mut m = MachineSpec::t3d()
+            .with_limits(MeasureLimits::fast())
+            .build()
+            .unwrap();
         let report = machine_report(&mut m, &ReportOptions::quick());
         assert!(report.contains("# Memory system characterization — Cray T3D"));
         assert!(report.contains("## Inferred cache structure"));
@@ -143,8 +145,8 @@ mod tests {
 
     #[test]
     fn custom_machine_report_omits_remote_sections() {
-        let mut m = CustomMachineBuilder::new("toy", presets::tiny_test_node())
-            .limits(MeasureLimits::fast())
+        let mut m = MachineSpec::custom("toy", presets::tiny_test_node())
+            .with_limits(MeasureLimits::fast())
             .build()
             .unwrap();
         let report = machine_report(&mut m, &ReportOptions::quick());

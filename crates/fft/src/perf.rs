@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use gasnub_machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub_machines::{Ablation, Machine, MachineId, MachineSpec, MeasureLimits};
 use gasnub_memsim::WORD_BYTES;
 use gasnub_shmem::{TransferCost, TransferKind};
 
@@ -17,14 +17,12 @@ fn fast_machine(id: MachineId) -> Box<dyn Machine> {
         max_measure_words: 16 * 1024,
         max_prime_words: 2 * 1024 * 1024,
     };
-    let mut m: Box<dyn Machine> = match id {
-        MachineId::Dec8400 => Box::new(Dec8400::new()),
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        MachineId::Custom => panic!("FFT performance models exist only for the paper's machines"),
-    };
-    m.set_limits(limits);
-    m
+    assert!(
+        id != MachineId::Custom,
+        "FFT performance models exist only for the paper's machines"
+    );
+    let spec = MachineSpec::for_id(id).with_limits(limits);
+    Box::new(spec.build().expect("paper machines build"))
 }
 
 /// Local 1D-FFT timing: the vendor-library flop rate bounded by the
@@ -166,15 +164,23 @@ impl FleetCost {
             max_measure_words: 16 * 1024,
             max_prime_words: 256 * 1024,
         };
-        let (mut machine, aggregate_cap): (Box<dyn Machine>, bool) = match id {
-            MachineId::Dec8400 => (Box::new(Dec8400::new_contended()), true),
-            MachineId::CrayT3d => (Box::new(T3d::new_with_paired_traffic()), false),
-            MachineId::CrayT3e => (Box::new(T3e::new()), false),
+        let (spec, aggregate_cap) = match id {
+            MachineId::Dec8400 => (
+                MachineSpec::dec8400().ablate(Ablation::DramContention),
+                true,
+            ),
+            MachineId::CrayT3d => (MachineSpec::t3d().ablate(Ablation::PairedTraffic), false),
+            MachineId::CrayT3e => (Ok(MachineSpec::t3e()), false),
             MachineId::Custom => {
                 panic!("FFT performance models exist only for the paper's machines")
             }
         };
-        machine.set_limits(limits);
+        let spec = spec.expect("paper machines take their ablations");
+        let mut machine: Box<dyn Machine> = Box::new(
+            spec.with_limits(limits)
+                .build()
+                .expect("paper machines build"),
+        );
         let cap = if aggregate_cap {
             // The bus-bound ceiling: the contiguous pull rate is as fast as
             // the shared path ever goes, regardless of how many PEs pull.

@@ -370,16 +370,23 @@ pub fn run_calibration(machine: &mut dyn Machine) -> Vec<(CalibrationPoint, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TransferEngine;
     use crate::limits::MeasureLimits;
-    use crate::{Dec8400, T3d, T3e};
+    use crate::spec::MachineSpec;
 
-    fn check(machine: &mut dyn Machine) {
-        machine.set_limits(MeasureLimits {
+    fn engine(spec: MachineSpec) -> TransferEngine {
+        spec.with_limits(MeasureLimits {
             max_measure_words: 16 * 1024,
             max_prime_words: 2 * 1024 * 1024,
-        });
+        })
+        .build()
+        .unwrap()
+    }
+
+    fn check(spec: MachineSpec) {
+        let mut machine = engine(spec);
         let mut failures = Vec::new();
-        for (point, measured) in run_calibration(machine) {
+        for (point, measured) in run_calibration(&mut machine) {
             if !point.accepts(measured) {
                 failures.push(format!(
                     "{}: paper {} MB/s, measured {:.1} MB/s (tolerance ±{:.0}%)",
@@ -399,21 +406,21 @@ mod tests {
 
     #[test]
     fn dec8400_calibration() {
-        check(&mut Dec8400::new());
+        check(MachineSpec::dec8400());
     }
 
     #[test]
     fn t3d_calibration() {
-        check(&mut T3d::new());
+        check(MachineSpec::t3d());
     }
 
     #[test]
     fn t3e_calibration() {
-        check(&mut T3e::new());
+        check(MachineSpec::t3e());
     }
 
     #[test]
-    fn table_covers_all_machines() {
+    fn table_covers_every_paper_machine() {
         let table = calibration_table();
         for id in [MachineId::Dec8400, MachineId::CrayT3d, MachineId::CrayT3e] {
             assert!(
@@ -429,5 +436,63 @@ mod tests {
         assert!(p.accepts(p.paper_mb_s));
         assert!(p.accepts(p.paper_mb_s * (1.0 + p.tolerance * 0.99)));
         assert!(!p.accepts(p.paper_mb_s * (1.0 + p.tolerance * 1.5)));
+    }
+
+    // Paper claims that relate two rows (or rows at strides the table does
+    // not list); each row on its own is asserted by the checks above.
+
+    #[test]
+    fn t3d_contiguous_dram_beats_the_8400_by_30_percent() {
+        // §5.3: "Contiguous loads from local DRAM memory on the Cray T3D are
+        // about 30% faster than in the DEC 8400."
+        let t3d = engine(MachineSpec::t3d()).local_load(8 * MB, 1).mb_s;
+        let dec = engine(MachineSpec::dec8400()).local_load(32 * MB, 1).mb_s;
+        let ratio = t3d / dec;
+        assert!(ratio > 1.1 && ratio < 1.6, "T3D/8400 ratio {ratio}");
+    }
+
+    #[test]
+    fn t3d_strided_stores_beat_strided_loads_locally() {
+        // Fig 10: the write-back queue makes contiguous-load/strided-store
+        // copies much faster than strided-load/contiguous-store copies.
+        let mut t3d = engine(MachineSpec::t3d());
+        let strided_stores = t3d.local_copy(8 * MB, 1, 16).mb_s;
+        let strided_loads = t3d.local_copy(8 * MB, 16, 1).mb_s;
+        assert!(
+            strided_stores > 1.3 * strided_loads,
+            "strided stores {strided_stores} vs strided loads {strided_loads}"
+        );
+    }
+
+    #[test]
+    fn t3e_strided_deposits_near_70_for_power_of_two_strides() {
+        let mut t3e = engine(MachineSpec::t3e());
+        for stride in [8u64, 16, 32, 64] {
+            let put = t3e.remote_deposit(8 * MB, stride).unwrap().mb_s;
+            assert!((put - 70.0).abs() / 70.0 < 0.25, "stride {stride}: {put}");
+        }
+        // §5.6: "fetches are more advantageous for even strides than
+        // deposits."
+        let get = t3e.remote_fetch(8 * MB, 16).unwrap().mb_s;
+        let put = t3e.remote_deposit(8 * MB, 16).unwrap().mb_s;
+        assert!(get > 1.5 * put, "get {get} vs put {put}");
+    }
+
+    #[test]
+    fn t3e_gather_is_the_slowest_dram_pattern() {
+        // Indexed accesses defeat both the line overfetch amortization and
+        // the stream buffers *and* thrash DRAM rows.
+        let mut t3e = engine(MachineSpec::t3e());
+        let gather = t3e.local_gather(8 * MB).mb_s;
+        let strided = t3e.local_load(8 * MB, 16).mb_s;
+        let contig = t3e.local_load(8 * MB, 1).mb_s;
+        assert!(
+            gather <= strided * 1.05,
+            "gather {gather} vs strided {strided}"
+        );
+        assert!(gather < contig / 5.0, "gather {gather} vs contig {contig}");
+        // But cache-resident gathers run at the L1 plateau.
+        let small = t3e.local_gather(4 * KB).mb_s;
+        assert!(small > 800.0, "L1-resident gather: {small}");
     }
 }

@@ -1,13 +1,11 @@
 //! The shared transfer engine: one implementation of the paper's probes.
 //!
-//! Historically each machine model (`dec8400.rs`, `t3d.rs`, `t3e.rs`,
-//! `custom.rs`) carried its own copy of the local load/store/copy/gather
-//! loops and its own fetch/deposit inner loop. [`TransferEngine`] collapses
-//! them: it owns *all* mutable simulation state for one run (memory
-//! hierarchy, NI pipelines, link occupancy, destination DRAM rows) and
-//! implements every probe once, parameterized by the backend an immutable
-//! [`crate::spec::MachineSpec`] describes. Engines are cheap to construct,
-//! `Send`, and independent — a parallel sweep builds one per grid cell.
+//! [`TransferEngine`] owns *all* mutable simulation state for one run
+//! (memory hierarchy, NI pipelines, link occupancy, destination DRAM rows)
+//! and implements every probe once, parameterized by the backend an
+//! immutable [`crate::spec::MachineSpec`] describes. Engines are cheap to
+//! construct, `Send`, and independent — a parallel sweep builds one per
+//! grid cell.
 
 use gasnub_coherence::smp::SnoopingSmp;
 use gasnub_interconnect::link::Link;
@@ -24,8 +22,8 @@ use crate::cancel::{CancelToken, Guarded};
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId, Measurement};
 use crate::memo::{self, MemoKey};
-use crate::params::{T3dRemoteParams, T3eRemoteParams};
-use crate::probe::{dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbeRequest, Provenance};
+use crate::probe::{dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbeRequest, ProbeTier};
+use crate::spec::{T3dRemoteParams, T3eRemoteParams};
 use gasnub_memsim::SimError;
 
 /// Byte offset separating source and destination regions.
@@ -230,7 +228,7 @@ impl T3dRemotePath {
 
 /// Mutable state of the T3E remote path (E-registers + torus link).
 #[derive(Debug)]
-struct T3eRemotePath {
+pub(crate) struct T3eRemotePath {
     params: T3eRemoteParams,
     eregs: ERegisters,
     link: Link,
@@ -239,6 +237,20 @@ struct T3eRemotePath {
 }
 
 impl T3eRemotePath {
+    pub(crate) fn new(
+        params: T3eRemoteParams,
+        eregs: ERegisters,
+        link: Link,
+        dest_banks: Dram,
+    ) -> Self {
+        T3eRemotePath {
+            params,
+            eregs,
+            link,
+            dest_banks,
+        }
+    }
+
     fn reset(&mut self) {
         self.eregs.reset();
         self.link.reset();
@@ -304,7 +316,7 @@ impl T3eRemotePath {
 
 /// The remote paths a node-style backend may carry.
 #[derive(Debug)]
-enum RemotePath {
+pub(crate) enum RemotePath {
     /// No remote capability (custom single-node machines).
     None,
     /// T3D fetch/deposit circuitry.
@@ -315,7 +327,7 @@ enum RemotePath {
 
 /// The mutable simulation substrate behind an engine.
 #[derive(Debug)]
-enum Backend {
+pub(crate) enum Backend {
     /// Bus-based SMP (DEC 8400): remote transfers are coherent pulls.
     Smp(SnoopingSmp),
     /// Single PE plus an explicit remote path (T3D, T3E, custom nodes).
@@ -327,9 +339,8 @@ enum Backend {
 
 /// A per-run transfer engine: all mutable state of one simulated machine.
 ///
-/// Built from a [`crate::spec::MachineSpec`]; implements every probe of the
-/// [`Machine`] trait exactly once. The machine wrapper types ([`crate::T3d`]
-/// etc.) are thin shells around one of these.
+/// Built by [`crate::spec::MachineSpec::build`] — the only way to get a
+/// machine; implements every probe of the [`Machine`] trait exactly once.
 #[derive(Debug)]
 pub struct TransferEngine {
     id: MachineId,
@@ -349,165 +360,59 @@ pub struct TransferEngine {
     /// Cooperative cancellation token consulted inside probe loops. `None`
     /// (the default) means probes run to completion.
     cancel: Option<CancelToken>,
-    /// Where this engine's results come from — the machine half of every
-    /// memo key (see [`crate::memo`]). Engines built outside
-    /// [`crate::spec::MachineSpec::build`] are [`Provenance::HandBuilt`]
-    /// and bypass memoization explicitly.
-    provenance: Provenance,
+    /// The originating spec's identity hash — the machine half of every
+    /// memo key (see [`crate::memo`]).
+    spec_hash: u64,
 }
 
 impl TransferEngine {
-    pub(crate) fn new_smp(
+    /// Assembles an engine around `backend`; `display` is the resolved
+    /// display name and `spec_hash` the originating spec's identity.
+    pub(crate) fn new(
         id: MachineId,
-        smp: SnoopingSmp,
+        label: String,
+        display: String,
+        backend: Backend,
         gather_seed: u64,
         limits: MeasureLimits,
+        spec_hash: u64,
     ) -> Self {
-        let clock_mhz = smp.config().node.cpu.clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Smp(smp),
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    pub(crate) fn new_torus(
-        id: MachineId,
-        engine: MemoryEngine,
-        path: T3dRemotePath,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
-                remote: RemotePath::T3d(Box::new(path)),
-            },
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_eregs(
-        id: MachineId,
-        engine: MemoryEngine,
-        params: T3eRemoteParams,
-        eregs: ERegisters,
-        link: Link,
-        dest_banks: Dram,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
-                remote: RemotePath::T3e(Box::new(T3eRemotePath {
-                    params,
-                    eregs,
-                    link,
-                    dest_banks,
-                })),
-            },
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    pub(crate) fn new_node(
-        id: MachineId,
-        engine: MemoryEngine,
-        gather_seed: u64,
-        limits: MeasureLimits,
-    ) -> Self {
-        let clock_mhz = engine.cpu().clock_mhz;
-        TransferEngine {
-            id,
-            label: id.label().to_string(),
-            display: id.to_string(),
-            clock_mhz,
-            gather_seed,
-            limits,
-            backend: Backend::Node {
-                engine,
-                remote: RemotePath::None,
-            },
-            recorder: Box::new(NullRecorder),
-            last_counters: None,
-            cancel: None,
-            provenance: Provenance::HandBuilt,
-        }
-    }
-
-    /// Installs the spec's identity: the registry label this engine reports
-    /// and its display name. For paper machines the display stays the
-    /// canonical machine name; for everything else the explicit `display`
-    /// (or the label) wins.
-    pub(crate) fn set_identity(&mut self, label: String, display: Option<String>) {
-        self.display = match (display, self.id) {
-            (Some(d), _) => d,
-            (None, MachineId::Custom) => label.clone(),
-            (None, id) => id.to_string(),
+        let clock_mhz = match &backend {
+            Backend::Smp(smp) => smp.config().node.cpu.clock_mhz,
+            Backend::Node { engine, .. } => engine.cpu().clock_mhz,
         };
-        self.label = label;
-    }
-
-    /// Installs the identity hash of the originating spec, enabling the
-    /// probe memo (see [`crate::memo`]).
-    pub(crate) fn set_spec_hash(&mut self, hash: u64) {
-        self.provenance = Provenance::Spec(hash);
-    }
-
-    /// Where this engine's results come from: [`Provenance::Spec`] for
-    /// engines built through [`crate::spec::MachineSpec::build`] (which
-    /// memoize), [`Provenance::HandBuilt`] otherwise (which bypass).
-    pub fn provenance(&self) -> Provenance {
-        self.provenance
+        TransferEngine {
+            id,
+            label,
+            display,
+            clock_mhz,
+            gather_seed,
+            limits,
+            backend,
+            recorder: Box::new(NullRecorder),
+            last_counters: None,
+            cancel: None,
+            spec_hash,
+        }
     }
 
     /// The memo key for a probe about to run, or `None` when memoization
-    /// does not apply: hand-built provenance, an enabled recorder
-    /// (component counters and events must be recomputed), or the `--cold`
-    /// escape hatch ([`gasnub_memsim::cold_path`]).
+    /// does not apply: an enabled recorder (component counters and events
+    /// must be recomputed) or the `--cold` escape hatch
+    /// ([`gasnub_memsim::cold_path`]).
     fn memo_key(&self, op: ProbeOp, ws_bytes: u64, stride: u64, stride2: u64) -> Option<MemoKey> {
-        if self.recorder.enabled() || gasnub_memsim::cold_path() {
+        if self.recorder.enabled() {
             return None;
         }
-        Some(MemoKey {
-            spec_hash: self.provenance.spec_hash()?,
+        let req = ProbeRequest {
             op,
             ws_bytes,
             stride,
             stride2,
-            max_measure_words: self.limits.max_measure_words,
-            max_prime_words: self.limits.max_prime_words,
-        })
+            limits: Some(self.limits),
+            tier: ProbeTier::Simulate,
+        };
+        req.memo_key(self.spec_hash)
     }
 
     /// Whether an enabled recorder is installed, i.e. probe side effects
@@ -523,18 +428,6 @@ impl TransferEngine {
         match &self.backend {
             Backend::Smp(smp) => Some(smp),
             Backend::Node { .. } => None,
-        }
-    }
-
-    /// Applies a loss model to the backend's network interface (fault
-    /// plans); a no-op for backends without one.
-    pub(crate) fn set_ni_loss(&mut self, loss: gasnub_interconnect::ni::NiLossModel) {
-        if let Backend::Node { remote, .. } = &mut self.backend {
-            match remote {
-                RemotePath::T3d(path) => path.ni.set_loss_model(Some(loss)),
-                RemotePath::T3e(path) => path.eregs.set_loss_model(Some(loss)),
-                RemotePath::None => {}
-            }
         }
     }
 
@@ -937,114 +830,13 @@ impl Machine for TransferEngine {
 
 impl ProbeBackend for TransferEngine {
     /// Full-simulation backend: every request runs through the per-op
-    /// probes (which consult the memo internally under this engine's
-    /// [`Provenance`]). The request's tier is ignored — an engine without
+    /// probes (which consult the memo internally under this engine's spec
+    /// hash). The request's tier is ignored — an engine without
     /// an analytic model has only one tier to offer.
     fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
         Ok(dispatch(self, req))
     }
 }
-
-/// Implements [`Machine`] for a wrapper struct whose `engine` field is a
-/// [`TransferEngine`]. The historical machine types (`Dec8400`, `T3d`,
-/// `T3e`, `CustomMachine`) are such shells: they keep their calibrated
-/// constructors and ablations but own no probe logic of their own.
-macro_rules! delegate_machine {
-    ($ty:ty) => {
-        impl $crate::machine::Machine for $ty {
-            fn id(&self) -> $crate::machine::MachineId {
-                $crate::machine::Machine::id(&self.engine)
-            }
-
-            fn name(&self) -> String {
-                $crate::machine::Machine::name(&self.engine)
-            }
-
-            fn label(&self) -> String {
-                $crate::machine::Machine::label(&self.engine)
-            }
-
-            fn clock_mhz(&self) -> f64 {
-                $crate::machine::Machine::clock_mhz(&self.engine)
-            }
-
-            fn limits(&self) -> $crate::limits::MeasureLimits {
-                $crate::machine::Machine::limits(&self.engine)
-            }
-
-            fn set_limits(&mut self, limits: $crate::limits::MeasureLimits) {
-                $crate::machine::Machine::set_limits(&mut self.engine, limits);
-            }
-
-            fn local_load(&mut self, ws_bytes: u64, stride: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_load(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn local_store(&mut self, ws_bytes: u64, stride: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_store(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn local_copy(
-                &mut self,
-                ws_bytes: u64,
-                load_stride: u64,
-                store_stride: u64,
-            ) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_copy(
-                    &mut self.engine,
-                    ws_bytes,
-                    load_stride,
-                    store_stride,
-                )
-            }
-
-            fn local_gather(&mut self, ws_bytes: u64) -> $crate::machine::Measurement {
-                $crate::machine::Machine::local_gather(&mut self.engine, ws_bytes)
-            }
-
-            fn remote_load(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_load(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn remote_fetch(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_fetch(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn remote_deposit(
-                &mut self,
-                ws_bytes: u64,
-                stride: u64,
-            ) -> Option<$crate::machine::Measurement> {
-                $crate::machine::Machine::remote_deposit(&mut self.engine, ws_bytes, stride)
-            }
-
-            fn set_recorder(&mut self, recorder: Box<dyn gasnub_trace::Recorder>) {
-                $crate::machine::Machine::set_recorder(&mut self.engine, recorder);
-            }
-
-            fn take_counters(&mut self) -> Option<gasnub_trace::CounterSet> {
-                $crate::machine::Machine::take_counters(&mut self.engine)
-            }
-
-            fn drain_events(&mut self) -> Vec<gasnub_trace::Event> {
-                $crate::machine::Machine::drain_events(&mut self.engine)
-            }
-
-            fn set_cancel_token(&mut self, token: $crate::cancel::CancelToken) {
-                $crate::machine::Machine::set_cancel_token(&mut self.engine, token);
-            }
-        }
-    };
-}
-pub(crate) use delegate_machine;
 
 #[cfg(test)]
 mod tests {

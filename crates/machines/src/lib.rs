@@ -7,30 +7,30 @@
 //! `gasnub-interconnect` and `gasnub-coherence` substrates with the paper's
 //! §3 parameters:
 //!
-//! * [`dec8400::Dec8400`] — 300 MHz 21164 (EV-5), three cache levels
+//! * [`MachineSpec::dec8400`] — 300 MHz 21164 (EV-5), three cache levels
 //!   (8 KB L1 / 96 KB L2 / 4 MB L3), interleaved DRAM, 256-bit 75 MHz
 //!   coherent bus; remote transfers are coherent consumer *pulls*.
-//! * [`t3d::T3d`] — 150 MHz 21064 (EV-4), 8 KB L1 only, external read-ahead
-//!   logic and coalescing write-back queue, 3D torus with fetch/deposit
-//!   circuitry; deposit ≫ naive fetch.
-//! * [`t3e::T3e`] — 300 MHz 21164, L1/L2 on chip, six stream buffers, no L3,
-//!   512 E-registers; fetch ≈ deposit at 4x the T3D's remote bandwidth.
+//! * [`MachineSpec::t3d`] — 150 MHz 21064 (EV-4), 8 KB L1 only, external
+//!   read-ahead logic and coalescing write-back queue, 3D torus with
+//!   fetch/deposit circuitry; deposit ≫ naive fetch.
+//! * [`MachineSpec::t3e`] — 300 MHz 21164, L1/L2 on chip, six stream
+//!   buffers, no L3, 512 E-registers; fetch ≈ deposit at 4x the T3D's
+//!   remote bandwidth.
 //!
-//! Each machine also exposes a `with_faults` constructor taking a
-//! [`FaultPlan`] (from `gasnub-faults`), which re-parameterizes the remote
-//! paths for a deterministically degraded installation — failed/degraded
-//! torus channels, lossy network interfaces, a jittery bus arbiter.
+//! A machine is data: a [`MachineSpec`] parsed from a spec file. The paper
+//! machines are the embedded `machines/zoo/*.toml` files, whose comments
+//! carry the rationale for every calibrated number, and the
+//! [`MachineRegistry`] adds whatever else the zoo directory holds. A spec
+//! is immutable and `Clone + Send + Sync`; [`MachineSpec::build`] produces
+//! a fresh [`TransferEngine`] owning all mutable simulation state and
+//! implementing every probe exactly once, and the [`SpawnEngine`] factory
+//! trait lets the sweep layer hand each grid cell its own engine.
+//! Variants are overlays on a spec: [`MachineSpec::with_faults`] folds in
+//! a [`FaultPlan`] (failed/degraded torus channels, lossy network
+//! interfaces, a jittery bus arbiter) and [`MachineSpec::ablate`] switches
+//! off one of the mechanisms the paper credits ([`Ablation`]).
 //!
-//! The machine layer is split into an immutable description and a mutable
-//! runtime: a [`spec::MachineSpec`] holds clock, hierarchy, NI/topology and
-//! fault-plan parameters and is freely `Clone + Send + Sync`; its `build()`
-//! produces a fresh [`engine::TransferEngine`] owning all mutable
-//! simulation state and implementing every probe exactly once. The four
-//! named machine types are thin shells over a `TransferEngine`, and the
-//! [`spec::SpawnEngine`] factory trait lets the sweep layer hand each grid
-//! cell its own engine for parallel execution.
-//!
-//! Every machine implements the [`machine::Machine`] trait: the probe
+//! Every engine implements the [`machine::Machine`] trait: the probe
 //! surface the characterization layer (`gasnub-core`) sweeps. Absolute
 //! cycle parameters are calibrated against the ~30 bandwidth figures quoted
 //! in the paper's prose; [`calibration`] holds that table and the test
@@ -39,58 +39,39 @@
 //! ## Example
 //!
 //! ```rust
-//! use gasnub_machines::{Machine, MeasureLimits, T3d};
+//! use gasnub_machines::{Machine, MachineSpec, MeasureLimits};
 //!
-//! let mut t3d = T3d::new();
-//! t3d.set_limits(MeasureLimits::fast());
+//! let mut t3d = MachineSpec::t3d().with_limits(MeasureLimits::fast()).build()?;
 //! // The read-ahead logic makes contiguous DRAM loads far faster than
 //! // strided ones (fig 3).
 //! let contiguous = t3d.local_load(8 << 20, 1).mb_s;
 //! let strided = t3d.local_load(8 << 20, 16).mb_s;
 //! assert!(contiguous > 3.0 * strided);
+//! # Ok::<(), gasnub_memsim::ConfigError>(())
 //! ```
 
 pub mod calibration;
 pub mod cancel;
-pub mod custom;
-pub mod dec8400;
 pub mod engine;
 pub mod limits;
 pub mod machine;
 pub mod memo;
-pub mod params;
 pub mod probe;
 pub mod registry;
 pub mod spec;
 pub mod specfile;
-pub mod t3d;
-pub mod t3e;
 pub mod warm;
 
 pub use cancel::{CancelToken, CellCancelled};
-pub use custom::{CustomMachine, CustomMachineBuilder};
-pub use dec8400::Dec8400;
 pub use engine::{words_of, TransferEngine};
 pub use gasnub_faults::{FaultPlan, RouteImpact};
 pub use gasnub_trace::{CounterSet, Event, NullRecorder, Recorder, RingRecorder};
 pub use limits::MeasureLimits;
 pub use machine::{Machine, MachineId, Measurement};
 pub use probe::{
-    dispatch, Memoized, ProbeBackend, ProbeOp, ProbeOutcome, ProbePath, ProbeRequest, ProbeTier,
-    Provenance, WarmBackend,
+    dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbePath, ProbeRequest, ProbeTier,
 };
 pub use registry::{BrokenSpec, MachineRegistry, ResolveError};
-pub use spec::{MachineSpec, SpawnEngine};
+pub use spec::{Ablation, MachineSpec, SpawnEngine};
 pub use specfile::SpecError;
-pub use t3d::T3d;
-pub use t3e::T3e;
 pub use warm::WarmState;
-
-/// Builds all three machines with paper parameters and default limits.
-pub fn all_machines() -> Vec<Box<dyn Machine>> {
-    vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ]
-}

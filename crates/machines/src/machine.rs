@@ -14,7 +14,7 @@ pub enum MachineId {
     CrayT3d,
     /// Cray T3E (300 MHz EV-5 PEs, E-registers, stream buffers).
     CrayT3e,
-    /// A user-defined machine (see [`crate::custom::CustomMachine`]).
+    /// Any other machine: a zoo spec file or [`crate::MachineSpec::custom`].
     Custom,
 }
 

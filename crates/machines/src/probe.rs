@@ -11,9 +11,9 @@
 //!   caps and the requested [`ProbeTier`];
 //! * a [`ProbeBackend`] answers requests through a single
 //!   `probe(&ProbeRequest)` entry point — implemented by the simulator
-//!   engine ([`crate::TransferEngine`]), the warm wrapper
-//!   ([`WarmBackend`]), the probe memo ([`Memoized`]), and the analytic
-//!   fast path (`gasnub-analytic`'s tiered machine);
+//!   engine ([`crate::TransferEngine`], which consults the probe memo
+//!   internally) and the analytic fast path (`gasnub-analytic`'s tiered
+//!   machine);
 //! * a [`ProbeOutcome`] carries the measurement plus which path produced
 //!   it, so tiered dispatch is observable instead of implicit.
 //!
@@ -25,9 +25,7 @@ use gasnub_memsim::SimError;
 
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, Measurement};
-use crate::memo::{self, MemoKey};
-use crate::spec::SpawnEngine;
-use crate::warm::WarmState;
+use crate::memo::MemoKey;
 
 /// Which probe an outcome answers. Also the operation half of every memo
 /// key (see [`crate::memo`]).
@@ -109,33 +107,6 @@ impl ProbeTier {
     }
 }
 
-/// Where a probe backend's results come from — the machine half of every
-/// memo key.
-///
-/// Engines built from a [`crate::MachineSpec`] (including every
-/// registry-resolved zoo machine) carry the spec's identity hash and
-/// memoize; engines assembled by hand carry no description a key could
-/// name, so the memo is bypassed *explicitly* here rather than through the
-/// old missing-hash special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Provenance {
-    /// Built from a spec with this [`crate::MachineSpec::spec_hash`].
-    Spec(u64),
-    /// Assembled outside `MachineSpec::build` (test scaffolding, ad-hoc
-    /// wrappers); results have no stable identity to memoize under.
-    HandBuilt,
-}
-
-impl Provenance {
-    /// The spec hash, when the backend has one.
-    pub fn spec_hash(self) -> Option<u64> {
-        match self {
-            Provenance::Spec(hash) => Some(hash),
-            Provenance::HandBuilt => None,
-        }
-    }
-}
-
 /// One probe, fully described: the operation, the grid cell, the
 /// measurement caps and the execution tier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,16 +164,16 @@ impl ProbeRequest {
         self
     }
 
-    /// The memo key of this request for a backend of the given provenance,
-    /// or `None` when the result must not be memoized: a hand-built
-    /// backend, unresolved measurement caps, or the `--cold` escape hatch.
-    pub(crate) fn memo_key(&self, provenance: Provenance) -> Option<MemoKey> {
+    /// The memo key of this request on a machine with the given spec
+    /// hash, or `None` when the result must not be memoized: unresolved
+    /// measurement caps, or the `--cold` escape hatch.
+    pub(crate) fn memo_key(&self, spec_hash: u64) -> Option<MemoKey> {
         if gasnub_memsim::cold_path() {
             return None;
         }
         let limits = self.limits?;
         Some(MemoKey {
-            spec_hash: provenance.spec_hash()?,
+            spec_hash,
             op: self.op,
             ws_bytes: self.ws_bytes,
             stride: self.stride,
@@ -258,10 +229,8 @@ impl ProbeOutcome {
 
 /// One probe entry point for every backend.
 ///
-/// Implementations: [`crate::TransferEngine`] (full simulation),
-/// [`WarmBackend`] (simulation on a reused engine), [`Memoized`]
-/// (memo-fronted delegation keyed by [`Provenance`]), and the analytic
-/// crate's tiered machine (closed-form fast path with simulation
+/// Implementations: [`crate::TransferEngine`] (full simulation) and the
+/// analytic crate's tiered machine (closed-form fast path with simulation
 /// fallback).
 pub trait ProbeBackend {
     /// Answers one request.
@@ -296,80 +265,10 @@ pub fn dispatch<M: Machine + ?Sized>(machine: &mut M, req: &ProbeRequest) -> Pro
     ProbeOutcome::simulated(measurement)
 }
 
-/// The warm execution path as a backend: one lazily spawned engine, reused
-/// across requests (see [`crate::warm`] for the state-validity rules).
-#[derive(Debug)]
-pub struct WarmBackend<'a, S: SpawnEngine> {
-    spawner: &'a S,
-    warm: WarmState<S::Engine>,
-}
-
-impl<'a, S: SpawnEngine> WarmBackend<'a, S> {
-    /// A cold backend bound to `spawner`; the first probe spawns.
-    pub fn new(spawner: &'a S) -> Self {
-        WarmBackend {
-            spawner,
-            warm: WarmState::new(),
-        }
-    }
-
-    /// Discards the held engine after a state-incompatible transition (an
-    /// unwound probe).
-    pub fn reset(&mut self) {
-        self.warm.reset();
-    }
-}
-
-impl<S: SpawnEngine> ProbeBackend for WarmBackend<'_, S> {
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        Ok(dispatch(self.warm.engine(self.spawner)?, req))
-    }
-}
-
-/// The probe memo as a backend: serves repeat requests from the per-process
-/// table, delegates misses, and keys everything off an explicit
-/// [`Provenance`] — so registry-resolved zoo machines memoize while
-/// hand-built scaffolding deterministically bypasses.
-#[derive(Debug)]
-pub struct Memoized<B> {
-    inner: B,
-    provenance: Provenance,
-}
-
-impl<B: ProbeBackend> Memoized<B> {
-    /// Fronts `inner` with the memo under `provenance`. The inner backend
-    /// must be a pure simulation path (memoized analytic answers would
-    /// conflate the tiers).
-    pub fn new(inner: B, provenance: Provenance) -> Self {
-        Memoized { inner, provenance }
-    }
-
-    /// The provenance the memo keys off.
-    pub fn provenance(&self) -> Provenance {
-        self.provenance
-    }
-}
-
-impl<B: ProbeBackend> ProbeBackend for Memoized<B> {
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        let key = req.memo_key(self.provenance);
-        if let Some(k) = &key {
-            if let Some(hit) = memo::lookup(k) {
-                return Ok(ProbeOutcome::simulated(hit));
-            }
-        }
-        let outcome = self.inner.probe(req)?;
-        if let Some(k) = key {
-            memo::insert(k, outcome.measurement);
-        }
-        Ok(outcome)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MachineSpec;
+    use crate::spec::{MachineSpec, SpawnEngine};
 
     #[test]
     fn tier_labels_round_trip() {
@@ -417,47 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_backend_reuses_one_engine() {
-        let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
-        let mut warm = WarmBackend::new(&spec);
-        let req = ProbeRequest::new(ProbeOp::LocalLoad, 16 << 10, 2);
-        let a = warm.probe(&req).unwrap();
-        let b = warm.probe(&req).unwrap();
-        assert_eq!(
-            a.measurement.unwrap().cycles.to_bits(),
-            b.measurement.unwrap().cycles.to_bits()
-        );
-    }
-
-    #[test]
-    fn memoized_backend_serves_repeats_from_the_table() {
-        let _guard = memo::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let spec = MachineSpec::t3e().with_limits(MeasureLimits::fast());
-        let provenance = Provenance::Spec(spec.spec_hash());
-        let mut backend = Memoized::new(WarmBackend::new(&spec), provenance);
-        // An off-grid cell no other test probes.
-        let req =
-            ProbeRequest::new(ProbeOp::LocalLoad, 96 << 10, 5).with_limits(MeasureLimits::fast());
-        let first = backend.probe(&req).unwrap();
-        let (hits0, _) = memo::stats();
-        let second = backend.probe(&req).unwrap();
-        let (hits1, _) = memo::stats();
-        assert!(hits1 > hits0, "repeat must be a memo hit");
-        assert_eq!(
-            first.measurement.unwrap().cycles.to_bits(),
-            second.measurement.unwrap().cycles.to_bits()
-        );
-    }
-
-    #[test]
-    fn hand_built_provenance_bypasses_the_memo() {
+    fn only_capped_requests_memoize() {
         let req =
             ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1).with_limits(MeasureLimits::fast());
-        assert!(req.memo_key(Provenance::HandBuilt).is_none());
-        assert!(req.memo_key(Provenance::Spec(42)).is_some());
-        // Requests without resolved caps never memoize either: the result
-        // would depend on backend state the key cannot see.
+        assert!(req.memo_key(42).is_some());
+        // Requests without resolved caps never memoize: the result would
+        // depend on backend state the key cannot see.
         let uncapped = ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1);
-        assert!(uncapped.memo_key(Provenance::Spec(42)).is_none());
+        assert!(uncapped.memo_key(42).is_none());
     }
 }

@@ -14,6 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::machine::MachineId;
 use crate::spec::{MachineSpec, BUILTIN_SPECS};
 
 /// Environment variable overriding the default zoo directory.
@@ -177,6 +178,12 @@ impl MachineRegistry {
         &self.specs
     }
 
+    /// The specs of the paper's three machines (dec8400, t3d, t3e), in
+    /// registry order — including zoo files that shadow them.
+    pub fn paper_specs(&self) -> impl Iterator<Item = &MachineSpec> {
+        self.specs.iter().filter(|s| s.id() != MachineId::Custom)
+    }
+
     /// Zoo files that failed to load.
     pub fn broken(&self) -> &[BrokenSpec] {
         &self.broken
@@ -192,12 +199,13 @@ impl MachineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::MachineId;
 
     #[test]
     fn builtin_registry_resolves_canonical_names_and_aliases() {
         let reg = MachineRegistry::builtin();
         assert_eq!(reg.names(), vec!["dec8400", "t3d", "t3e", "custom"]);
+        let paper: Vec<&str> = reg.paper_specs().map(MachineSpec::label).collect();
+        assert_eq!(paper, vec!["dec8400", "t3d", "t3e"]);
         assert_eq!(reg.resolve("t3d").unwrap().id(), MachineId::CrayT3d);
         assert_eq!(reg.resolve("T3D").unwrap().id(), MachineId::CrayT3d);
         assert_eq!(reg.resolve("cray-t3e").unwrap().id(), MachineId::CrayT3e);

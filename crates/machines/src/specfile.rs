@@ -52,8 +52,7 @@ use gasnub_memsim::stream::StreamConfig;
 use gasnub_memsim::write_buffer::WriteBufferConfig;
 
 use crate::machine::MachineId;
-use crate::params::{T3dRemoteParams, T3eRemoteParams};
-use crate::spec::{MachineSpec, SpecKind};
+use crate::spec::{MachineSpec, SpecKind, T3dRemoteParams, T3eRemoteParams};
 
 /// A structured error from loading or decoding a machine spec file.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,7 @@
 //! Degraded-machine invariants: a `FaultPlan` only ever slows a machine
 //! down, and does so deterministically.
 
-use gasnub_machines::{Dec8400, FaultPlan, Machine, MeasureLimits, T3d, T3e};
+use gasnub_machines::{FaultPlan, Machine, MachineSpec, MeasureLimits, TransferEngine};
 
 fn fast() -> MeasureLimits {
     MeasureLimits {
@@ -12,13 +12,23 @@ fn fast() -> MeasureLimits {
 
 const WS: u64 = 1 << 20;
 
+fn healthy(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(fast()).build().unwrap()
+}
+
+fn degraded(spec: MachineSpec, plan: &FaultPlan) -> TransferEngine {
+    spec.with_faults(plan)
+        .unwrap()
+        .with_limits(fast())
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn zero_severity_plan_matches_healthy_t3d() {
     let plan = FaultPlan::new(11, 0.0).unwrap();
-    let mut healthy = T3d::new();
-    let mut degraded = T3d::with_faults(&plan).unwrap();
-    healthy.set_limits(fast());
-    degraded.set_limits(fast());
+    let mut healthy = healthy(MachineSpec::t3d());
+    let mut degraded = degraded(MachineSpec::t3d(), &plan);
     let h = healthy.remote_deposit(WS, 1).unwrap();
     let d = degraded.remote_deposit(WS, 1).unwrap();
     assert_eq!(h.cycles, d.cycles, "severity 0 must be a healthy machine");
@@ -28,10 +38,8 @@ fn zero_severity_plan_matches_healthy_t3d() {
 fn degraded_t3d_is_never_faster() {
     for seed in [1_u64, 7, 42] {
         let plan = FaultPlan::new(seed, 0.6).unwrap();
-        let mut healthy = T3d::new();
-        let mut degraded = T3d::with_faults(&plan).unwrap();
-        healthy.set_limits(fast());
-        degraded.set_limits(fast());
+        let mut healthy = healthy(MachineSpec::t3d());
+        let mut degraded = degraded(MachineSpec::t3d(), &plan);
         for stride in [1_u64, 8] {
             let h = healthy.remote_deposit(WS, stride).unwrap();
             let d = degraded.remote_deposit(WS, stride).unwrap();
@@ -52,10 +60,8 @@ fn degraded_t3d_is_never_faster() {
 fn degraded_t3e_is_never_faster() {
     for seed in [3_u64, 19] {
         let plan = FaultPlan::new(seed, 0.6).unwrap();
-        let mut healthy = T3e::new();
-        let mut degraded = T3e::with_faults(&plan).unwrap();
-        healthy.set_limits(fast());
-        degraded.set_limits(fast());
+        let mut healthy = healthy(MachineSpec::t3e());
+        let mut degraded = degraded(MachineSpec::t3e(), &plan);
         for stride in [1_u64, 4] {
             let h = healthy.remote_deposit(WS, stride).unwrap();
             let d = degraded.remote_deposit(WS, stride).unwrap();
@@ -67,10 +73,8 @@ fn degraded_t3e_is_never_faster() {
 #[test]
 fn degraded_dec8400_pull_is_never_faster() {
     let plan = FaultPlan::new(5, 0.8).unwrap();
-    let mut healthy = Dec8400::new();
-    let mut degraded = Dec8400::with_faults(&plan).unwrap();
-    healthy.set_limits(fast());
-    degraded.set_limits(fast());
+    let mut healthy = healthy(MachineSpec::dec8400());
+    let mut degraded = degraded(MachineSpec::dec8400(), &plan);
     let h = healthy.remote_load(WS, 1).unwrap();
     let d = degraded.remote_load(WS, 1).unwrap();
     assert!(
@@ -83,15 +87,12 @@ fn degraded_dec8400_pull_is_never_faster() {
 fn same_plan_gives_identical_cycle_counts() {
     let plan = FaultPlan::new(42, 0.5).unwrap();
     let run = |plan: &FaultPlan| {
-        let mut t3d = T3d::with_faults(plan).unwrap();
-        t3d.set_limits(fast());
+        let mut t3d = degraded(MachineSpec::t3d(), plan);
         let a = t3d.remote_deposit(WS, 1).unwrap().cycles;
         let b = t3d.remote_fetch(WS, 8).unwrap().cycles;
-        let mut t3e = T3e::with_faults(plan).unwrap();
-        t3e.set_limits(fast());
+        let mut t3e = degraded(MachineSpec::t3e(), plan);
         let c = t3e.remote_deposit(WS, 2).unwrap().cycles;
-        let mut dec = Dec8400::with_faults(plan).unwrap();
-        dec.set_limits(fast());
+        let mut dec = degraded(MachineSpec::dec8400(), plan);
         let d = dec.remote_load(WS, 1).unwrap().cycles;
         (a.to_bits(), b.to_bits(), c.to_bits(), d.to_bits())
     };
@@ -110,9 +111,10 @@ fn harsher_plans_hurt_more_on_average() {
         (0..6_u64)
             .map(|seed| {
                 let plan = FaultPlan::new(seed, severity).unwrap();
-                let mut t3d = T3d::with_faults(&plan).unwrap();
-                t3d.set_limits(fast());
-                t3d.remote_deposit(WS, 1).unwrap().cycles
+                degraded(MachineSpec::t3d(), &plan)
+                    .remote_deposit(WS, 1)
+                    .unwrap()
+                    .cycles
             })
             .sum()
     };

@@ -3,7 +3,7 @@
 
 use gasnub_machines::calibration::calibration_table;
 use gasnub_machines::machine::{MachineId, Measurement};
-use gasnub_machines::params;
+use gasnub_machines::MachineSpec;
 
 #[test]
 fn machine_id_round_trips_through_labels() {
@@ -37,15 +37,19 @@ fn measurement_is_a_value_type() {
 
 #[test]
 fn configs_are_cloneable_and_stable() {
-    let node = params::t3e_node();
+    let node = MachineSpec::t3e().node_config().clone();
     assert_eq!(
         node,
         node.clone(),
         "machine descriptions must be value types"
     );
-    assert_eq!(params::dec8400_smp(), params::dec8400_smp().clone());
-    assert_eq!(params::t3d_remote(), params::t3d_remote().clone());
-    assert_eq!(params::t3e_remote(), params::t3e_remote().clone());
+    for spec in [
+        MachineSpec::dec8400(),
+        MachineSpec::t3d(),
+        MachineSpec::t3e(),
+    ] {
+        assert_eq!(spec, spec.clone());
+    }
 }
 
 #[test]

@@ -259,7 +259,15 @@ impl TransferCost for MeasuredCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{Dec8400, T3d, T3e};
+    use gasnub_memsim::config::presets;
+
+    fn engine(spec: MachineSpec) -> Box<dyn Machine> {
+        Box::new(spec.build().unwrap())
+    }
+
+    fn local_only() -> MachineSpec {
+        MachineSpec::custom("local-only", presets::tiny_test_node())
+    }
 
     #[test]
     fn uniform_cost_is_linear() {
@@ -270,7 +278,7 @@ mod tests {
 
     #[test]
     fn measured_cost_caches_probes() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(engine(MachineSpec::t3e()));
         let first = c.call_cycles(TransferKind::Deposit, 1000, 1);
         let second = c.call_cycles(TransferKind::Deposit, 1000, 1);
         assert_eq!(first, second);
@@ -279,7 +287,7 @@ mod tests {
 
     #[test]
     fn t3e_contiguous_call_tracks_350_mb_s() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(engine(MachineSpec::t3e()));
         let cycles = c.call_cycles(TransferKind::Deposit, 100_000, 1);
         let mb_s = 100_000.0 * 8.0 * c.clock_mhz() / cycles;
         assert!((mb_s - 350.0).abs() / 350.0 < 0.2, "got {mb_s}");
@@ -287,7 +295,7 @@ mod tests {
 
     #[test]
     fn t3d_deposit_cheaper_than_fetch() {
-        let mut c = MeasuredCost::new(Box::new(T3d::new()));
+        let mut c = MeasuredCost::new(engine(MachineSpec::t3d()));
         let dep = c.call_cycles(TransferKind::Deposit, 10_000, 1);
         let fetch = c.call_cycles(TransferKind::Fetch, 10_000, 1);
         assert!(dep * 2.0 < fetch, "deposit {dep} vs fetch {fetch}");
@@ -295,7 +303,7 @@ mod tests {
 
     #[test]
     fn dec8400_deposit_falls_back_to_pull() {
-        let mut c = MeasuredCost::new(Box::new(Dec8400::new()));
+        let mut c = MeasuredCost::new(engine(MachineSpec::dec8400()));
         let dep = c.call_cycles(TransferKind::Deposit, 10_000, 1);
         let fetch = c.call_cycles(TransferKind::Fetch, 10_000, 1);
         let ratio = dep / fetch;
@@ -319,46 +327,34 @@ mod tests {
 
     #[test]
     fn zero_element_calls_are_free() {
-        let mut c = MeasuredCost::new(Box::new(T3e::new()));
+        let mut c = MeasuredCost::new(engine(MachineSpec::t3e()));
         assert_eq!(c.call_cycles(TransferKind::Fetch, 0, 1), 0.0);
     }
 
     #[test]
-    fn from_spec_prices_like_a_hand_built_machine() {
+    fn from_spec_prices_like_a_built_engine() {
         let mut from_spec = MeasuredCost::from_spec(&MachineSpec::t3d()).unwrap();
-        let mut direct = MeasuredCost::new(Box::new(T3d::new()));
+        // The recorder keeps the direct engine off the probe memo, so it
+        // re-simulates rather than reading back what `from_spec` stored.
+        let mut direct_engine = MachineSpec::t3d().build().unwrap();
+        direct_engine.set_recorder(Box::new(gasnub_machines::RingRecorder::new(4)));
+        let mut direct = MeasuredCost::new(Box::new(direct_engine));
         assert_eq!(
             from_spec.call_cycles(TransferKind::Deposit, 1000, 1),
             direct.call_cycles(TransferKind::Deposit, 1000, 1)
         );
         // A local-only spec is rejected just like a local-only machine.
-        let local_only = MachineSpec::custom(
-            "local-only".to_string(),
-            gasnub_memsim::config::presets::tiny_test_node(),
-        );
-        assert!(MeasuredCost::from_spec(&local_only).is_err());
+        assert!(MeasuredCost::from_spec(&local_only()).is_err());
     }
 
     #[test]
     fn try_new_validates_remote_support() {
-        assert!(MeasuredCost::try_new(Box::new(T3d::new())).is_ok());
+        assert!(MeasuredCost::try_new(engine(MachineSpec::t3d())).is_ok());
         // A local-only machine is rejected up front...
-        let node = gasnub_machines::CustomMachineBuilder::new(
-            "local-only",
-            gasnub_memsim::config::presets::tiny_test_node(),
-        )
-        .build()
-        .unwrap();
-        let err = MeasuredCost::try_new(Box::new(node)).unwrap_err();
+        let err = MeasuredCost::try_new(engine(local_only())).unwrap_err();
         assert!(err.to_string().contains("neither"), "{err}");
         // ...while the panic-free pricing path charges it infinite cycles.
-        let node = gasnub_machines::CustomMachineBuilder::new(
-            "local-only",
-            gasnub_memsim::config::presets::tiny_test_node(),
-        )
-        .build()
-        .unwrap();
-        let mut c = MeasuredCost::new(Box::new(node));
+        let mut c = MeasuredCost::new(engine(local_only()));
         assert!(c.call_cycles(TransferKind::Fetch, 10, 1).is_infinite());
     }
 }

@@ -5,78 +5,8 @@
 //! cargo run --release --example ablations
 //! ```
 
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub_bench::ablations;
 
 fn main() {
-    let limits = MeasureLimits::fast();
-    let ws = 8 << 20;
-
-    println!(
-        "{:<44}{:>10}{:>10}{:>9}",
-        "mechanism", "with", "without", "worth"
-    );
-
-    let row = |name: &str, with: f64, without: f64| {
-        println!(
-            "{:<44}{:>10.0}{:>10.0}{:>8.2}x",
-            name,
-            with,
-            without,
-            with / without
-        );
-    };
-
-    {
-        let mut a = T3e::new();
-        a.set_limits(limits);
-        let mut b = T3e::new_without_streams();
-        b.set_limits(limits);
-        row(
-            "T3E stream buffers (contiguous DRAM loads)",
-            a.local_load(ws, 1).mb_s,
-            b.local_load(ws, 1).mb_s,
-        );
-    }
-    {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_without_read_ahead();
-        b.set_limits(limits);
-        row(
-            "T3D read-ahead logic (contiguous DRAM loads)",
-            a.local_load(ws, 1).mb_s,
-            b.local_load(ws, 1).mb_s,
-        );
-    }
-    {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_without_coalescing();
-        b.set_limits(limits);
-        row(
-            "T3D WBQ coalescing (contiguous deposits)",
-            a.remote_deposit(ws, 1).unwrap().mb_s,
-            b.remote_deposit(ws, 1).unwrap().mb_s,
-        );
-    }
-    {
-        let mut a = T3d::new();
-        a.set_limits(limits);
-        let mut b = T3d::new_with_blocking_fetch();
-        b.set_limits(limits);
-        row(
-            "T3D prefetch FIFO (contiguous fetches)",
-            a.remote_fetch(ws, 1).unwrap().mb_s,
-            b.remote_fetch(ws, 1).unwrap().mb_s,
-        );
-    }
-    {
-        let mut a = Dec8400::new();
-        a.set_limits(limits);
-        row(
-            "8400 L3 blocking (strided pulls, 2 MB vs 32 MB)",
-            a.remote_load(2 << 20, 16).unwrap().mb_s,
-            a.remote_load(32 << 20, 16).unwrap().mb_s,
-        );
-    }
+    print!("{}", ablations::render(&ablations::run_all()));
 }

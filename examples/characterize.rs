@@ -5,25 +5,26 @@
 //! cargo run --release --example characterize -- t3e
 //! cargo run --release --example characterize -- dec8400 --full
 //! ```
+//!
+//! Any machine the registry resolves works, zoo files included.
 
 use gasnub::core::profile::MachineProfile;
 use gasnub::core::sweep::Grid;
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineRegistry, MeasureLimits};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("t3d");
     let full = args.iter().any(|a| a == "--full");
 
-    let mut machine: Box<dyn Machine> = match which {
-        "dec8400" => Box::new(Dec8400::new()),
-        "t3d" => Box::new(T3d::new()),
-        "t3e" => Box::new(T3e::new()),
-        other => {
-            eprintln!("unknown machine {other:?}; use dec8400 | t3d | t3e");
+    let spec = MachineRegistry::discover()
+        .resolve(which)
+        .cloned()
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        }
-    };
+        });
+    let mut machine = spec.build().expect("registry specs build");
 
     let (local_grid, remote_grid) = if full {
         machine.set_limits(MeasureLimits::new());
@@ -47,6 +48,6 @@ fn main() {
         machine.name(),
         local_grid.cells()
     );
-    let profile = MachineProfile::measure(machine.as_mut(), &local_grid, &remote_grid);
+    let profile = MachineProfile::measure(&mut machine, &local_grid, &remote_grid);
     println!("{}", profile.report());
 }

@@ -10,23 +10,24 @@
 //! ```
 
 use gasnub::core::cost::{CostModel, Strategy};
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineRegistry, MeasureLimits};
 
 fn main() {
     let strides = [1u64, 2, 8, 15, 16, 64];
     let words = 1 << 20; // 8 MB transfer
-    let mut machines: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
+    let mut machines: Vec<Box<dyn Machine>> = MachineRegistry::builtin()
+        .paper_specs()
+        .map(|spec| -> Box<dyn Machine> {
+            let spec = spec.clone().with_limits(MeasureLimits::fast());
+            Box::new(spec.build().expect("paper machines build"))
+        })
+        .collect();
 
     println!(
         "Cheapest strategy for moving {words} words ({} MB) at each stride:\n",
         (words * 8) >> 20
     );
     for m in &mut machines {
-        m.set_limits(MeasureLimits::fast());
         let model = CostModel::characterize(m.as_mut(), &strides, 32 << 20);
         println!("== {} ==", m.name());
         println!("{:>8} {:>10} {:<42}ranking", "stride", "MB/s", "winner");

@@ -6,8 +6,7 @@
 //! ```
 
 use gasnub::core::report::{machine_report, ReportOptions};
-use gasnub::machines::custom::CustomMachineBuilder;
-use gasnub::machines::{Machine, MeasureLimits};
+use gasnub::machines::{Machine, MachineSpec, MeasureLimits};
 use gasnub::memsim::cache::{AllocatePolicy, CacheConfig, WritePolicy};
 use gasnub::memsim::hierarchy::LevelConfig;
 use gasnub::memsim::stream::StreamConfig;
@@ -16,7 +15,7 @@ fn main() {
     // Start from the T3D node and graft a 512 KB L2 behind its L1 — the
     // design question the paper's §7.3 raises implicitly: would a board
     // cache have fixed the T3D's large-FFT falloff?
-    let mut node = gasnub::machines::params::t3d_node();
+    let mut node = MachineSpec::t3d().node_config().clone();
     node.name = "T3D + 512 KB L2 (what-if)".to_string();
     // The L1's fill cost was the DRAM interface's; refilling from a nearby
     // SRAM L2 is much faster.
@@ -40,15 +39,17 @@ fn main() {
         write_back_cycles: 8.0,
     });
 
-    let mut what_if = CustomMachineBuilder::new("T3D+L2", node)
-        .limits(MeasureLimits::fast())
+    let mut what_if = MachineSpec::custom("T3D+L2", node)
+        .with_limits(MeasureLimits::fast())
         .build()
         .expect("valid design");
 
     // Compare against the real T3D at an FFT-row-sized working set (64 KB:
     // a 4096-point complex row).
-    let mut real = gasnub::machines::T3d::new();
-    real.set_limits(MeasureLimits::fast());
+    let mut real = MachineSpec::t3d()
+        .with_limits(MeasureLimits::fast())
+        .build()
+        .expect("paper machines build");
     let ws = 64 << 10;
     println!("64 KB working set (a 4096-point complex FFT row):");
     println!(

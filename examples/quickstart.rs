@@ -7,19 +7,20 @@
 
 use gasnub::core::cost::CostModel;
 use gasnub::core::sweep::Grid;
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineRegistry, MeasureLimits};
 
 fn main() {
-    let mut machines: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
+    let mut machines: Vec<Box<dyn Machine>> = MachineRegistry::builtin()
+        .paper_specs()
+        .map(|spec| -> Box<dyn Machine> {
+            let spec = spec.clone().with_limits(MeasureLimits::fast());
+            Box::new(spec.build().expect("paper machines build"))
+        })
+        .collect();
 
     println!("== Local load bandwidth (MB/s), 8 MB working set ==");
     println!("{:<22}{:>12}{:>12}", "machine", "stride 1", "stride 16");
     for m in &mut machines {
-        m.set_limits(MeasureLimits::fast());
         let contig = m.local_load(8 << 20, 1).mb_s;
         let strided = m.local_load(8 << 20, 16).mb_s;
         println!("{:<22}{:>12.0}{:>12.0}", m.name(), contig, strided);

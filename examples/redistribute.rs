@@ -6,19 +6,16 @@
 //! cargo run --release --example redistribute
 //! ```
 
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{MachineId, MachineSpec, MeasureLimits};
 use gasnub::shmem::{block_to_cyclic, cyclic_to_block, MeasuredCost, Pe, RedistStyle, ShmemCtx};
 
 /// Runs one redistribution of `n` words on a 4-PE machine and returns the
 /// max per-PE communication time in milliseconds.
 fn run(machine: MachineId, to_cyclic: bool, style: RedistStyle, n: usize) -> f64 {
-    let boxed: Box<dyn Machine> = match machine {
-        MachineId::Dec8400 => Box::new(Dec8400::new()),
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        MachineId::Custom => unreachable!("only the paper's machines are compared here"),
-    };
-    let cost = MeasuredCost::new(boxed);
+    let engine = MachineSpec::for_id(machine)
+        .build()
+        .expect("paper machines build");
+    let cost = MeasuredCost::new(Box::new(engine));
     let clock = {
         use gasnub::shmem::TransferCost;
         cost.clock_mhz()

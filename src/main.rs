@@ -26,8 +26,8 @@ use gasnub::core::{auto_threads, run_indexed, Grid, ResilientSweep, SweepOp};
 use gasnub::fft::run_benchmark;
 use gasnub::fft::scalability;
 use gasnub::machines::{
-    CounterSet, Dec8400, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec,
-    MeasureLimits, ProbeTier, RingRecorder, SpawnEngine, T3d, T3e,
+    CounterSet, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec, MeasureLimits,
+    ProbeTier, RingRecorder, SpawnEngine,
 };
 
 fn usage() -> ! {
@@ -83,18 +83,6 @@ fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("gasnub: {message}");
     eprintln!("(run `gasnub` with no arguments for usage)");
     std::process::exit(2);
-}
-
-fn all_machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
 }
 
 /// Resolves a machine that the §8 scalability projection can model. Any
@@ -808,7 +796,15 @@ fn main() {
             }
         }
         "compare" => {
-            let mut machines = all_machines();
+            // The paper's table: always the three built-in machines, so a
+            // zoo file shadowing one of them cannot change it.
+            let mut machines: Vec<Box<dyn Machine>> = MachineRegistry::builtin()
+                .paper_specs()
+                .map(|spec| -> Box<dyn Machine> {
+                    let spec = spec.clone().with_limits(MeasureLimits::fast());
+                    Box::new(spec.build().unwrap_or_else(|e| fail(e)))
+                })
+                .collect();
             let c = Comparison::measure(&mut machines, 32 << 20);
             println!("Cross-machine summary, 32 MB working sets (MB/s):\n");
             println!("{}", c.render());

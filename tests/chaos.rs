@@ -24,7 +24,7 @@
 //! an artifact.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gasnub::core::chaos::FaultInjector;
 use gasnub::core::resilient::{ResilientSweep, SweepError};
@@ -52,17 +52,25 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// The checkpoint bytes an undisturbed complete run writes — the reference
-/// every chaos case must converge back to.
+/// every chaos case must converge back to. Both tests ask for it from
+/// parallel threads, and its scratch file is named only by the process, so
+/// it is computed once: two concurrent runs would write, read and delete
+/// the same file under each other.
 fn reference_bytes() -> Vec<u8> {
-    let path = scratch("reference");
-    let _ = std::fs::remove_file(&path);
-    ResilientSweep::new(&path)
-        .with_fsync(false)
-        .run("t", &grid(), |ws, s| Some(model(ws, s)))
-        .expect("the undisturbed run must succeed");
-    let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    bytes
+    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
+    REFERENCE
+        .get_or_init(|| {
+            let path = scratch("reference");
+            let _ = std::fs::remove_file(&path);
+            ResilientSweep::new(&path)
+                .with_fsync(false)
+                .run("t", &grid(), |ws, s| Some(model(ws, s)))
+                .expect("the undisturbed run must succeed");
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        })
+        .clone()
 }
 
 /// Saves a failing case's fault schedule where CI picks artifacts up, and

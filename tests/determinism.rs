@@ -3,12 +3,18 @@
 //! the characterization reproducible and the figures stable.
 
 use gasnub::core::sweep::Grid;
-use gasnub::core::{local_load_surface, CostModel};
+use gasnub::core::{sweep_surface, CostModel, SweepOp};
 use gasnub::fft::run_benchmark;
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{
+    Machine, MachineId, MachineSpec, MeasureLimits, RingRecorder, TransferEngine,
+};
 
-fn fast<M: Machine>(mut m: M) -> M {
-    m.set_limits(MeasureLimits::fast());
+/// A fast engine that stays off the process-wide probe memo: the recorder
+/// makes every probe re-simulate, so two engines built from one spec are
+/// compared simulation against simulation, not a table against its source.
+fn fast(spec: MachineSpec) -> TransferEngine {
+    let mut m = spec.with_limits(MeasureLimits::fast()).build().unwrap();
+    m.set_recorder(Box::new(RingRecorder::new(4)));
     m
 }
 
@@ -22,23 +28,23 @@ fn machine_probes_are_deterministic() {
             m.remote_deposit(4 << 20, 3).map(|r| r.cycles),
         )
     };
-    let mut a = fast(T3d::new());
-    let mut b = fast(T3d::new());
+    let mut a = fast(MachineSpec::t3d());
+    let mut b = fast(MachineSpec::t3d());
     assert_eq!(probe(&mut a), probe(&mut b));
 
-    let mut a = fast(T3e::new());
-    let mut b = fast(T3e::new());
+    let mut a = fast(MachineSpec::t3e());
+    let mut b = fast(MachineSpec::t3e());
     assert_eq!(probe(&mut a), probe(&mut b));
 
-    let mut a = fast(Dec8400::new());
-    let mut b = fast(Dec8400::new());
+    let mut a = fast(MachineSpec::dec8400());
+    let mut b = fast(MachineSpec::dec8400());
     assert_eq!(probe(&mut a), probe(&mut b));
 }
 
 #[test]
 fn repeated_probes_on_one_machine_are_stable() {
     // Each probe flushes, so state from a previous probe must not leak.
-    let mut m = fast(T3e::new());
+    let mut m = fast(MachineSpec::t3e());
     let first = m.local_load(4 << 20, 5).cycles;
     let _ = m.remote_deposit(4 << 20, 16);
     let second = m.local_load(4 << 20, 5).cycles;
@@ -51,18 +57,18 @@ fn surfaces_are_deterministic() {
         strides: vec![1, 8],
         working_sets: vec![64 << 10, 4 << 20],
     };
-    let mut a = fast(T3d::new());
-    let mut b = fast(T3d::new());
+    let mut a = fast(MachineSpec::t3d());
+    let mut b = fast(MachineSpec::t3d());
     assert_eq!(
-        local_load_surface(&mut a, &grid),
-        local_load_surface(&mut b, &grid)
+        sweep_surface(&mut a, SweepOp::LocalLoad, &grid),
+        sweep_surface(&mut b, SweepOp::LocalLoad, &grid)
     );
 }
 
 #[test]
 fn cost_models_are_deterministic() {
-    let mut a = fast(T3e::new());
-    let mut b = fast(T3e::new());
+    let mut a = fast(MachineSpec::t3e());
+    let mut b = fast(MachineSpec::t3e());
     let ma = CostModel::characterize(&mut a, &[1, 16], 32 << 20);
     let mb = CostModel::characterize(&mut b, &[1, 16], 32 << 20);
     assert_eq!(ma, mb);
@@ -77,14 +83,13 @@ fn fft_benchmark_is_deterministic() {
 
 #[test]
 fn parallel_sweeps_match_sequential_ones_bit_for_bit() {
-    use gasnub::core::{sweep_surface_par, SweepOp};
-    use gasnub::machines::MachineSpec;
+    use gasnub::core::sweep_surface_par;
     let grid = Grid {
         strides: vec![1, 8],
         working_sets: vec![64 << 10, 4 << 20],
     };
-    let mut m = fast(T3d::new());
-    let sequential = local_load_surface(&mut m, &grid);
+    let mut m = fast(MachineSpec::t3d());
+    let sequential = sweep_surface(&mut m, SweepOp::LocalLoad, &grid).unwrap();
     let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
     let parallel = sweep_surface_par(&spec, SweepOp::LocalLoad, &grid, 4)
         .unwrap()

@@ -3,21 +3,20 @@
 
 use gasnub::core::cost::{CostModel, Strategy};
 use gasnub::fft::run_benchmark;
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
 
-fn fast<M: Machine>(mut m: M) -> M {
-    m.set_limits(MeasureLimits::fast());
-    m
+fn fast(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits::fast()).build().unwrap()
 }
 
 /// Finding 1: local bandwidth plateaus track the cache hierarchy, and
 /// strided DRAM accesses collapse by an order of magnitude vs. contiguous.
 #[test]
 fn finding_1_plateaus_track_the_hierarchy() {
-    let mut dec = fast(Dec8400::new());
+    let mut dec = fast(MachineSpec::dec8400());
     let l1 = dec.local_load(4 * KB, 1).mb_s;
     let l2 = dec.local_load(64 * KB, 1).mb_s;
     let l3 = dec.local_load(2 * MB, 1).mb_s;
@@ -34,7 +33,7 @@ fn finding_1_plateaus_track_the_hierarchy() {
     );
 
     // The T3D has only two tiers.
-    let mut t3d = fast(T3d::new());
+    let mut t3d = fast(MachineSpec::t3d());
     let t3d_l1 = t3d.local_load(4 * KB, 1).mb_s;
     let t3d_dram = t3d.local_load(8 * MB, 1).mb_s;
     assert!(t3d_l1 > 2.0 * t3d_dram);
@@ -44,7 +43,7 @@ fn finding_1_plateaus_track_the_hierarchy() {
 /// its local peak (1100 -> 140 MB/s).
 #[test]
 fn finding_2_remote_is_an_order_of_magnitude_below_local() {
-    let mut dec = fast(Dec8400::new());
+    let mut dec = fast(MachineSpec::dec8400());
     let local_peak = dec.local_load(4 * KB, 1).mb_s;
     let remote_peak = dec.remote_load(32 * MB, 1).unwrap().mb_s;
     let ratio = local_peak / remote_peak;
@@ -59,8 +58,8 @@ fn finding_2_remote_is_an_order_of_magnitude_below_local() {
 /// beats naive fetch on the T3D.
 #[test]
 fn finding_3_t3d_streams_beat_8400_caches_for_strided_transfers() {
-    let mut t3d = fast(T3d::new());
-    let mut dec = fast(Dec8400::new());
+    let mut t3d = fast(MachineSpec::t3d());
+    let mut dec = fast(MachineSpec::dec8400());
     let t3d_strided = t3d.remote_deposit(8 * MB, 16).unwrap().mb_s;
     let dec_strided = dec.remote_fetch(32 * MB, 16).unwrap().mb_s;
     assert!(
@@ -81,13 +80,13 @@ fn finding_3_t3d_streams_beat_8400_caches_for_strided_transfers() {
 /// deposits ripple down with destination bank conflicts.
 #[test]
 fn finding_4_t3e_eregisters() {
-    let mut t3e = fast(T3e::new());
+    let mut t3e = fast(MachineSpec::t3e());
     let put = t3e.remote_deposit(8 * MB, 1).unwrap().mb_s;
     let get = t3e.remote_fetch(8 * MB, 1).unwrap().mb_s;
     assert!((put - get).abs() / put < 0.1, "symmetry: {put} vs {get}");
 
-    let mut t3d = fast(T3d::new());
-    let mut dec = fast(Dec8400::new());
+    let mut t3d = fast(MachineSpec::t3d());
+    let mut dec = fast(MachineSpec::dec8400());
     assert!(put / t3d.remote_deposit(8 * MB, 1).unwrap().mb_s > 2.4);
     assert!(put / dec.remote_load(32 * MB, 1).unwrap().mb_s > 1.7);
 
@@ -103,8 +102,8 @@ fn finding_4_t3e_eregisters() {
 /// (43 -> 42 MB/s) while contiguous more than doubled.
 #[test]
 fn finding_5_strided_dram_stuck_across_generations() {
-    let mut t3d = fast(T3d::new());
-    let mut t3e = fast(T3e::new());
+    let mut t3d = fast(MachineSpec::t3d());
+    let mut t3e = fast(MachineSpec::t3e());
     let t3d_strided = t3d.local_load(8 * MB, 16).mb_s;
     let t3e_strided = t3e.local_load(8 * MB, 16).mb_s;
     let stuck_ratio = t3e_strided / t3d_strided;
@@ -164,7 +163,7 @@ fn finding_6_fft_compute_advantage_shrinks() {
 fn finding_mechanisms_show_in_the_counters() {
     use gasnub::machines::RingRecorder;
 
-    let mut dec = fast(Dec8400::new());
+    let mut dec = fast(MachineSpec::dec8400());
     dec.set_recorder(Box::new(RingRecorder::new(4)));
     let pull = dec.remote_load(4 * MB, 1).unwrap();
     let counters = dec.take_counters().expect("the pull must harvest counters");
@@ -192,7 +191,7 @@ fn finding_mechanisms_show_in_the_counters() {
         "coherent pulls must downgrade the producer's Modified lines"
     );
 
-    let mut t3d = fast(T3d::new());
+    let mut t3d = fast(MachineSpec::t3d());
     t3d.set_recorder(Box::new(RingRecorder::new(4)));
     let fetch = t3d.remote_fetch(4 * MB, 16).unwrap();
     let counters = t3d
@@ -228,7 +227,7 @@ fn cost_model_reproduces_section_9_guidance() {
     let strides = [15u64, 16];
     let words = 1 << 20;
 
-    let mut t3d = fast(T3d::new());
+    let mut t3d = fast(MachineSpec::t3d());
     let model = CostModel::characterize(&mut t3d, &strides, 32 * MB);
     for &s in &strides {
         assert_eq!(
@@ -238,7 +237,7 @@ fn cost_model_reproduces_section_9_guidance() {
         );
     }
 
-    let mut t3e = fast(T3e::new());
+    let mut t3e = fast(MachineSpec::t3e());
     let model = CostModel::characterize(&mut t3e, &strides, 32 * MB);
     assert_eq!(
         model.best(words, 16).strategy,
@@ -246,7 +245,7 @@ fn cost_model_reproduces_section_9_guidance() {
         "T3E pulls even strides"
     );
 
-    let mut dec = fast(Dec8400::new());
+    let mut dec = fast(MachineSpec::dec8400());
     let model = CostModel::characterize(&mut dec, &strides, 32 * MB);
     for &s in &strides {
         let best = model.best(words, s);

@@ -1,34 +1,28 @@
 //! Property-based integration tests: invariants that must hold for *any*
 //! stride and working set, not just the calibrated grid points.
 
-use gasnub::machines::{Dec8400, Machine, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineSpec, MeasureLimits, TransferEngine};
 use gasnub_memsim::rng::run_cases;
 
-fn fast_t3d() -> T3d {
-    let mut m = T3d::new();
-    m.set_limits(MeasureLimits {
+fn fast(spec: MachineSpec) -> TransferEngine {
+    spec.with_limits(MeasureLimits {
         max_measure_words: 8 * 1024,
         max_prime_words: 64 * 1024,
-    });
-    m
+    })
+    .build()
+    .unwrap()
 }
 
-fn fast_t3e() -> T3e {
-    let mut m = T3e::new();
-    m.set_limits(MeasureLimits {
-        max_measure_words: 8 * 1024,
-        max_prime_words: 64 * 1024,
-    });
-    m
+fn fast_t3d() -> TransferEngine {
+    fast(MachineSpec::t3d())
 }
 
-fn fast_dec() -> Dec8400 {
-    let mut m = Dec8400::new();
-    m.set_limits(MeasureLimits {
-        max_measure_words: 8 * 1024,
-        max_prime_words: 64 * 1024,
-    });
-    m
+fn fast_t3e() -> TransferEngine {
+    fast(MachineSpec::t3e())
+}
+
+fn fast_dec() -> TransferEngine {
+    fast(MachineSpec::dec8400())
 }
 
 /// Bandwidth is always positive and never exceeds the machine's

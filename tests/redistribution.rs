@@ -3,18 +3,14 @@
 //! the paper's cost-model decision applied to the Catacomb back end's
 //! general array-assignment case (§2.1).
 
-use gasnub::machines::{Machine, MachineId, T3d, T3e};
+use gasnub::machines::{MachineId, MachineSpec};
 use gasnub::shmem::{
     block_to_cyclic, cyclic_to_block, MeasuredCost, Pe, RedistStyle, ShmemCtx, TransferCost,
 };
 
 fn comm_ms(machine: MachineId, to_cyclic: bool, style: RedistStyle, n: usize) -> f64 {
-    let boxed: Box<dyn Machine> = match machine {
-        MachineId::CrayT3d => Box::new(T3d::new()),
-        MachineId::CrayT3e => Box::new(T3e::new()),
-        _ => unreachable!("not used in this test"),
-    };
-    let cost = MeasuredCost::new(boxed);
+    let engine = MachineSpec::for_id(machine).build().unwrap();
+    let cost = MeasuredCost::new(Box::new(engine));
     let clock = cost.clock_mhz();
     let mut ctx = ShmemCtx::new(4, n / 2, cost);
     if to_cyclic {

@@ -2,20 +2,21 @@
 //! machines: plateau monotonicity along the working-set axis, spectroscopy
 //! of the cache structure, and stride-axis behaviour.
 
-use gasnub::core::bench::local_load_surface;
+use gasnub::core::bench::{sweep_surface, SweepOp};
 use gasnub::core::sweep::Grid;
-use gasnub::machines::{Dec8400, Machine, MachineId, MeasureLimits, T3d, T3e};
+use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits};
 
 fn machines() -> Vec<Box<dyn Machine>> {
-    let mut v: Vec<Box<dyn Machine>> = vec![
-        Box::new(Dec8400::new()),
-        Box::new(T3d::new()),
-        Box::new(T3e::new()),
-    ];
-    for m in &mut v {
-        m.set_limits(MeasureLimits::fast());
-    }
-    v
+    [
+        MachineSpec::dec8400(),
+        MachineSpec::t3d(),
+        MachineSpec::t3e(),
+    ]
+    .into_iter()
+    .map(|spec| -> Box<dyn Machine> {
+        Box::new(spec.with_limits(MeasureLimits::fast()).build().unwrap())
+    })
+    .collect()
 }
 
 fn grid() -> Grid {
@@ -40,7 +41,7 @@ fn grid() -> Grid {
 fn bandwidth_never_meaningfully_rises_with_working_set() {
     // Larger working sets can only move data further from the processor.
     for m in &mut machines() {
-        let s = local_load_surface(m.as_mut(), &grid());
+        let s = sweep_surface(m.as_mut(), SweepOp::LocalLoad, &grid()).unwrap();
         for &stride in s.strides() {
             let col = s.column(stride).unwrap();
             for pair in col.windows(2) {
@@ -66,7 +67,7 @@ fn spectroscopy_matches_the_data_sheets() {
         (MachineId::CrayT3e, &[8 << 10]),
     ];
     for m in &mut machines() {
-        let s = local_load_surface(m.as_mut(), &grid());
+        let s = sweep_surface(m.as_mut(), SweepOp::LocalLoad, &grid()).unwrap();
         let caches = s.inferred_cache_bytes();
         let want = expect.iter().find(|(id, _)| *id == m.id()).unwrap().1;
         for w in want {
@@ -82,7 +83,7 @@ fn spectroscopy_matches_the_data_sheets() {
 #[test]
 fn contiguous_is_never_the_slowest_stride_in_dram() {
     for m in &mut machines() {
-        let s = local_load_surface(m.as_mut(), &grid());
+        let s = sweep_surface(m.as_mut(), SweepOp::LocalLoad, &grid()).unwrap();
         let row = s.row(16 << 20).unwrap();
         let contig = row[0].1;
         for &(stride, v) in &row[1..] {
@@ -98,7 +99,7 @@ fn contiguous_is_never_the_slowest_stride_in_dram() {
 #[test]
 fn every_machine_peaks_in_its_l1() {
     for m in &mut machines() {
-        let s = local_load_surface(m.as_mut(), &grid());
+        let s = sweep_surface(m.as_mut(), SweepOp::LocalLoad, &grid()).unwrap();
         let l1 = s.value(4 << 10, 1).unwrap();
         assert!(
             (s.peak() - l1).abs() < 1e-9 || l1 >= s.peak() * 0.99,
