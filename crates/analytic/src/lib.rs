@@ -29,13 +29,16 @@
 //!
 //! ```rust
 //! use gasnub_analytic::TieredSpec;
-//! use gasnub_machines::{Machine, MachineSpec, MeasureLimits, ProbeTier, SpawnEngine};
+//! use gasnub_machines::{
+//!     Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, ProbeTier, SpawnEngine,
+//! };
 //!
 //! let spec = MachineSpec::t3e().with_limits(MeasureLimits::fast());
 //! let tiered = TieredSpec::new(spec, ProbeTier::Auto).unwrap();
 //! let mut machine = tiered.spawn_engine().unwrap();
 //! // In-L1 cell: answered from the calibrated plateau, no simulation.
-//! let bw = machine.local_load(2 << 10, 1).mb_s;
+//! let cell = ProbeRequest::new(ProbeOp::LocalLoad, 2 << 10, 1);
+//! let bw = machine.probe(&cell).unwrap().mb_s;
 //! assert!(bw > 0.0);
 //! ```
 

@@ -40,8 +40,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use gasnub_machines::{
-    dispatch, words_of, MachineSpec, MeasureLimits, Measurement, ProbeOp, ProbeRequest,
-    SpawnEngine, TransferEngine,
+    words_of, Machine, MachineSpec, MeasureLimits, Measurement, ProbeOp, ProbeRequest, SpawnEngine,
+    TransferEngine,
 };
 use gasnub_memsim::{SimError, WORD_BYTES};
 
@@ -294,10 +294,9 @@ impl AnalyticModel {
         if let Some(&v) = state.anchors.get(&key) {
             return v;
         }
-        let req = ProbeRequest::new(op, ws, stride)
-            .with_stride2(stride2)
-            .with_limits(limits);
-        let value = dispatch(&mut state.engine, &req).mb_s();
+        state.engine.set_limits(limits);
+        let req = ProbeRequest::new(op, ws, stride).with_stride2(stride2);
+        let value = state.engine.probe(&req).map(|m| m.mb_s);
         state.anchors.insert(key, value);
         value
     }
@@ -417,7 +416,9 @@ mod tests {
             Prediction::Trusted(m) => {
                 let mut sim = spec.spawn_engine().unwrap();
                 sim.set_limits(limits);
-                let truth = sim.local_load(ws, 1);
+                let truth = sim
+                    .probe(&ProbeRequest::new(ProbeOp::LocalLoad, ws, 1))
+                    .unwrap();
                 let rel = (m.mb_s - truth.mb_s).abs() / truth.mb_s;
                 assert!(rel < 1e-9, "anchor cell must be exact, got rel {rel}");
             }

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gasnub_machines::cancel::CancelToken;
 use gasnub_machines::{
-    dispatch, Machine, MachineId, MachineSpec, MeasureLimits, Measurement, ProbeBackend, ProbeOp,
-    ProbeOutcome, ProbePath, ProbeRequest, ProbeTier, SpawnEngine, TransferEngine,
+    Machine, MachineId, MachineSpec, MeasureLimits, Measurement, ProbePath, ProbeRequest,
+    ProbeTier, SpawnEngine, TransferEngine,
 };
 use gasnub_memsim::SimError;
 use gasnub_trace::{CounterSet, Event, Recorder};
@@ -42,8 +42,8 @@ pub struct TieredSpec {
 }
 
 impl TieredSpec {
-    /// Derives the analytic model from `spec` and binds the default tier
-    /// spawned machines start in.
+    /// Derives the analytic model from `spec` and binds the tier spawned
+    /// machines route by.
     ///
     /// # Errors
     ///
@@ -64,7 +64,7 @@ impl TieredSpec {
         &self.model
     }
 
-    /// The tier spawned machines start in.
+    /// The tier spawned machines route by.
     pub fn tier(&self) -> ProbeTier {
         self.tier
     }
@@ -97,9 +97,9 @@ enum Route {
 pub struct TieredMachine {
     sim: TransferEngine,
     model: Arc<AnalyticModel>,
+    /// The spawning [`TieredSpec`]'s tier.
     tier: ProbeTier,
-    /// Which path answered the most recent probe (reported through
-    /// [`ProbeOutcome`] and [`TieredMachine::last_path`]).
+    /// Which path answered the most recent probe.
     last_path: ProbePath,
 }
 
@@ -109,28 +109,19 @@ impl TieredMachine {
         &self.model
     }
 
-    /// The tier probes currently route through.
-    pub fn tier(&self) -> ProbeTier {
-        self.tier
-    }
-
-    /// Changes the routing tier for subsequent probes.
-    pub fn set_tier(&mut self, tier: ProbeTier) {
-        self.tier = tier;
-    }
-
     /// Which path answered the most recent probe.
     pub fn last_path(&self) -> ProbePath {
         self.last_path
     }
 
-    /// Routes one cell. Side effects win over tiers: observed or `--cold`
-    /// probes always simulate.
-    fn route(&mut self, op: ProbeOp, ws: u64, stride: u64, stride2: u64) -> Route {
+    /// Routes one (normalised) request. Side effects win over tiers:
+    /// observed or `--cold` probes always simulate.
+    fn route(&mut self, req: &ProbeRequest) -> Route {
         if self.sim.recorder_enabled() || gasnub_memsim::cold_path() {
             self.last_path = ProbePath::Simulated;
             return Route::Sim;
         }
+        let (op, ws, stride, stride2) = (req.op, req.ws_bytes, req.stride, req.stride2);
         let limits = self.sim.limits();
         let route = match self.tier {
             ProbeTier::Simulate => Route::Sim,
@@ -176,56 +167,14 @@ impl Machine for TieredMachine {
         self.sim.set_limits(limits);
     }
 
-    fn local_load(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        match self.route(ProbeOp::LocalLoad, ws_bytes, stride, 0) {
-            Route::Value(Some(m)) => m,
+    fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
+        let req = req.normalized();
+        match self.route(&req) {
+            Route::Value(Some(m)) => Some(m),
             // Local probes are universally supported; an (impossible)
             // analytic refusal still answers rather than panicking.
-            Route::Value(None) | Route::Sim => self.sim.local_load(ws_bytes, stride),
-        }
-    }
-
-    fn local_store(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        match self.route(ProbeOp::LocalStore, ws_bytes, stride, 0) {
-            Route::Value(Some(m)) => m,
-            Route::Value(None) | Route::Sim => self.sim.local_store(ws_bytes, stride),
-        }
-    }
-
-    fn local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Measurement {
-        match self.route(ProbeOp::LocalCopy, ws_bytes, load_stride, store_stride) {
-            Route::Value(Some(m)) => m,
-            Route::Value(None) | Route::Sim => {
-                self.sim.local_copy(ws_bytes, load_stride, store_stride)
-            }
-        }
-    }
-
-    fn local_gather(&mut self, ws_bytes: u64) -> Measurement {
-        match self.route(ProbeOp::LocalGather, ws_bytes, 0, 0) {
-            Route::Value(Some(m)) => m,
-            Route::Value(None) | Route::Sim => self.sim.local_gather(ws_bytes),
-        }
-    }
-
-    fn remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        match self.route(ProbeOp::RemoteLoad, ws_bytes, stride, 0) {
-            Route::Value(v) => v,
-            Route::Sim => self.sim.remote_load(ws_bytes, stride),
-        }
-    }
-
-    fn remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        match self.route(ProbeOp::RemoteFetch, ws_bytes, stride, 0) {
-            Route::Value(v) => v,
-            Route::Sim => self.sim.remote_fetch(ws_bytes, stride),
-        }
-    }
-
-    fn remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        match self.route(ProbeOp::RemoteDeposit, ws_bytes, stride, 0) {
-            Route::Value(v) => v,
-            Route::Sim => self.sim.remote_deposit(ws_bytes, stride),
+            Route::Value(None) if req.op.is_remote() => None,
+            Route::Value(None) | Route::Sim => self.sim.probe(&req),
         }
     }
 
@@ -246,25 +195,15 @@ impl Machine for TieredMachine {
     }
 }
 
-impl ProbeBackend for TieredMachine {
-    /// Honors the *request's* tier (the machine's own tier is only the
-    /// default for direct [`Machine`] calls) and reports which path
-    /// actually answered.
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        let prev = self.tier;
-        self.tier = req.tier;
-        let answered = dispatch(self, req);
-        self.tier = prev;
-        Ok(ProbeOutcome {
-            measurement: answered.measurement,
-            path: self.last_path,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gasnub_machines::ProbeOp;
+    use gasnub_machines::ProbeOp::{LocalLoad, RemoteDeposit};
+
+    fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+        ProbeRequest::new(op, ws, stride)
+    }
 
     fn fast(spec: MachineSpec) -> MachineSpec {
         spec.with_limits(MeasureLimits::fast())
@@ -276,8 +215,8 @@ mod tests {
         let tiered = TieredSpec::new(spec.clone(), ProbeTier::Simulate).unwrap();
         let mut a = tiered.spawn_engine().unwrap();
         let mut b = spec.spawn_engine().unwrap();
-        let x = a.local_load(512 << 10, 8);
-        let y = b.local_load(512 << 10, 8);
+        let x = a.probe(&req(LocalLoad, 512 << 10, 8)).unwrap();
+        let y = b.probe(&req(LocalLoad, 512 << 10, 8)).unwrap();
         assert_eq!(x.cycles.to_bits(), y.cycles.to_bits());
         assert_eq!(a.last_path(), ProbePath::Simulated);
     }
@@ -288,22 +227,9 @@ mod tests {
         let tiered = TieredSpec::new(spec, ProbeTier::Auto).unwrap();
         let mut m = tiered.spawn_engine().unwrap();
         // Mid-L1 cell on a machine with generous plateaus.
-        let v = m.local_load(2 << 10, 1);
+        let v = m.probe(&req(LocalLoad, 2 << 10, 1)).unwrap();
         assert!(v.mb_s > 0.0);
         assert_eq!(m.last_path(), ProbePath::Analytic);
-    }
-
-    #[test]
-    fn requests_override_the_machine_tier() {
-        let spec = fast(MachineSpec::t3e());
-        let tiered = TieredSpec::new(spec, ProbeTier::Simulate).unwrap();
-        let mut m = tiered.spawn_engine().unwrap();
-        let req = ProbeRequest::new(ProbeOp::LocalLoad, 2 << 10, 1)
-            .with_limits(MeasureLimits::fast())
-            .with_tier(ProbeTier::Analytic);
-        let out = m.probe(&req).unwrap();
-        assert_eq!(out.path, ProbePath::Analytic);
-        assert_eq!(m.tier(), ProbeTier::Simulate, "machine default restored");
     }
 
     #[test]
@@ -312,7 +238,7 @@ mod tests {
         let tiered = TieredSpec::new(spec, ProbeTier::Analytic).unwrap();
         let mut m = tiered.spawn_engine().unwrap();
         m.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-        let _ = m.local_load(2 << 10, 1);
+        let _ = m.probe(&req(LocalLoad, 2 << 10, 1)).unwrap();
         assert_eq!(m.last_path(), ProbePath::Simulated);
         assert!(m.take_counters().is_some(), "observed probes harvest");
     }
@@ -325,7 +251,10 @@ mod tests {
             let mut m = tiered.spawn_engine().unwrap();
             // "The DEC 8400 does not have support for pushing data into
             // memory or caches of a remote processor."
-            assert!(m.remote_deposit(1 << 20, 1).is_none(), "tier {tier:?}");
+            assert!(
+                m.probe(&req(RemoteDeposit, 1 << 20, 1)).is_none(),
+                "tier {tier:?}"
+            );
         }
     }
 
@@ -335,9 +264,9 @@ mod tests {
         let tiered = TieredSpec::new(spec, ProbeTier::Auto).unwrap();
         let mut a = tiered.spawn_engine().unwrap();
         let mut b = tiered.spawn_engine().unwrap();
-        let x = a.local_load(2 << 10, 2);
+        let x = a.probe(&req(LocalLoad, 2 << 10, 2)).unwrap();
         let count = tiered.model().anchor_count();
-        let y = b.local_load(2 << 10, 2);
+        let y = b.probe(&req(LocalLoad, 2 << 10, 2)).unwrap();
         assert_eq!(x.cycles.to_bits(), y.cycles.to_bits());
         assert_eq!(
             tiered.model().anchor_count(),

@@ -5,7 +5,8 @@
 //! mechanism alone.
 
 use gasnub_machines::{
-    Ablation as Overlay, Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine,
+    Ablation as Overlay, Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest,
+    TransferEngine,
 };
 
 /// One ablation result.
@@ -42,29 +43,22 @@ fn engine(spec: MachineSpec) -> TransferEngine {
 /// The DRAM-resident working set the mechanism ablations probe.
 const WS: u64 = 8 << 20;
 
-type Probe = fn(&mut TransferEngine) -> f64;
-
-fn contiguous_loads(m: &mut TransferEngine) -> f64 {
-    m.local_load(WS, 1).mb_s
-}
-
-fn contiguous_deposits(m: &mut TransferEngine) -> f64 {
-    m.remote_deposit(WS, 1).expect("T3D deposits").mb_s
-}
-
-fn contiguous_fetches(m: &mut TransferEngine) -> f64 {
-    m.remote_fetch(WS, 1).expect("T3D fetch").mb_s
+/// Contiguous bandwidth of `op` over [`WS`]; every ablated op is supported
+/// on its machine.
+fn contiguous(mut m: TransferEngine, op: ProbeOp) -> f64 {
+    let req = ProbeRequest::new(op, WS, 1);
+    m.probe(&req).expect("ablated ops are supported").mb_s
 }
 
 /// Runs every ablation study.
 pub fn run_all() -> Vec<Ablation> {
-    let overlays: [(&str, MachineSpec, Overlay, Probe, &str); 5] = [
+    let overlays: [(&str, MachineSpec, Overlay, ProbeOp, &str); 5] = [
         // Paper footnote 3: ~120 MB/s without streaming.
         (
             "t3e-streams-off",
             MachineSpec::t3e(),
             Overlay::NoStreams,
-            contiguous_loads,
+            ProbeOp::LocalLoad,
             "T3E stream buffers disabled (early test vehicle, footnote 3)",
         ),
         // §3.2: "can be turned on/off at program load time".
@@ -72,7 +66,7 @@ pub fn run_all() -> Vec<Ablation> {
             "t3d-read-ahead-off",
             MachineSpec::t3d(),
             Overlay::NoReadAhead,
-            contiguous_loads,
+            ProbeOp::LocalLoad,
             "T3D external read-ahead logic disabled",
         ),
         // §3.2: coalesces into 32-byte entities.
@@ -80,7 +74,7 @@ pub fn run_all() -> Vec<Ablation> {
             "t3d-coalescing-off",
             MachineSpec::t3d(),
             Overlay::NoCoalescing,
-            contiguous_deposits,
+            ProbeOp::RemoteDeposit,
             "T3D write-back queue coalescing disabled (contiguous deposits)",
         ),
         // §3.2: prefetch FIFO vs blocking remote loads.
@@ -88,7 +82,7 @@ pub fn run_all() -> Vec<Ablation> {
             "t3d-blocking-fetch",
             MachineSpec::t3d(),
             Overlay::BlockingFetch,
-            contiguous_fetches,
+            ProbeOp::RemoteFetch,
             "T3D prefetch FIFO unused: transparent blocking remote loads",
         ),
         // Footnote 1: 70 MB/s per PE when the node pair shares the link.
@@ -96,13 +90,13 @@ pub fn run_all() -> Vec<Ablation> {
             "t3d-paired-traffic",
             MachineSpec::t3d(),
             Overlay::PairedTraffic,
-            contiguous_deposits,
+            ProbeOp::RemoteDeposit,
             "both PEs of a T3D node pair communicate simultaneously",
         ),
     ];
     let mut out: Vec<Ablation> = overlays
         .into_iter()
-        .map(|(id, spec, overlay, probe, description)| {
+        .map(|(id, spec, overlay, op, description)| {
             let ablated = spec
                 .clone()
                 .ablate(overlay)
@@ -111,8 +105,8 @@ pub fn run_all() -> Vec<Ablation> {
                 id,
                 machine: spec.id(),
                 description,
-                with_mb_s: probe(&mut engine(spec)),
-                without_mb_s: probe(&mut engine(ablated)),
+                with_mb_s: contiguous(engine(spec), op),
+                without_mb_s: contiguous(engine(ablated), op),
             }
         })
         .collect();
@@ -144,8 +138,11 @@ pub fn run_all() -> Vec<Ablation> {
 
     // 8400 L3-blocked communication (§6.1/§9: blocked cache-to-cache
     // transfers beat DRAM-to-DRAM remote copies for strided data).
-    let blocked = dec.remote_load(2 << 20, 16).expect("8400 pulls").mb_s;
-    let unblocked = dec.remote_load(32 << 20, 16).expect("8400 pulls").mb_s;
+    let mut pull = |ws| {
+        let req = ProbeRequest::new(ProbeOp::RemoteLoad, ws, 16);
+        dec.probe(&req).expect("8400 pulls").mb_s
+    };
+    let (blocked, unblocked) = (pull(2 << 20), pull(32 << 20));
     out.push(Ablation {
         id: "dec8400-blocked-transpose",
         machine: MachineId::Dec8400,

@@ -10,8 +10,9 @@ use gasnub_core::counters::collect_counters;
 use gasnub_core::{auto_threads, sweep_surface_par, Grid, SweepOp};
 use gasnub_fft::run_benchmark;
 use gasnub_machines::calibration::run_calibration;
+use gasnub_machines::ProbeOp::{LocalLoad, RemoteFetch};
 use gasnub_machines::{
-    dispatch, FaultPlan, Machine, MachineId, MachineSpec, MeasureLimits, ProbePath, ProbeTier,
+    FaultPlan, Machine, MachineId, MachineSpec, MeasureLimits, ProbePath, ProbeRequest, ProbeTier,
     SpawnEngine,
 };
 
@@ -358,9 +359,10 @@ fn main() {
             .build()
             .expect("zoo spec builds");
         let ws = 32 << 20;
-        let local = m.local_load(ws, 1).mb_s;
-        let local8 = m.local_load(ws, 8).mb_s;
-        match (m.remote_fetch(ws, 1), m.remote_fetch(ws, 8)) {
+        let mut probe = |op, stride| m.probe(&ProbeRequest::new(op, ws, stride));
+        let local = probe(LocalLoad, 1).expect("local loads always run").mb_s;
+        let local8 = probe(LocalLoad, 8).expect("local loads always run").mb_s;
+        match (probe(RemoteFetch, 1), probe(RemoteFetch, 8)) {
             (Some(remote), Some(remote8)) => {
                 if name == "numa2s" {
                     numa_ratio = Some(local / remote.mb_s);
@@ -666,12 +668,11 @@ fn analytic_residuals(spec: &MachineSpec) -> (usize, f64, f64) {
         for &ws in &grid.working_sets {
             for &stride in &grid.strides {
                 let req = op.request(ws, stride);
-                let a = dispatch(&mut auto, &req);
+                let a = auto.probe(&req);
                 if auto.last_path() != ProbePath::Analytic {
                     continue;
                 }
-                let (Some(a), Some(s)) = (a.measurement, dispatch(&mut sim, &req).measurement)
-                else {
+                let (Some(a), Some(s)) = (a, sim.probe(&req)) else {
                     continue;
                 };
                 let err = if s.mb_s > 0.0 {

@@ -40,7 +40,7 @@ use gasnub_core::json::Json;
 use gasnub_core::pool::run_indexed_chunked;
 use gasnub_core::{auto_threads, run_indexed, storage, Grid, ResilientSweep, SweepOp};
 use gasnub_machines::{
-    dispatch, Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, SpawnEngine,
+    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, SpawnEngine,
     TransferEngine,
 };
 
@@ -116,9 +116,7 @@ fn analytic_rate(spec: &MachineSpec, grid: &Grid) -> (f64, usize) {
     for &ws in &grid.working_sets {
         for &stride in &grid.strides {
             let req = SweepOp::LocalLoad.request(ws, stride);
-            if dispatch(&mut machine, &req).measurement.is_some()
-                && machine.last_path() == ProbePath::Analytic
-            {
+            if machine.probe(&req).is_some() && machine.last_path() == ProbePath::Analytic {
                 trusted.push(req);
             }
         }
@@ -132,7 +130,7 @@ fn analytic_rate(spec: &MachineSpec, grid: &Grid) -> (f64, usize) {
         let mut cells = 0u64;
         while start.elapsed().as_secs_f64() < 0.05 {
             for req in &trusted {
-                assert!(dispatch(&mut machine, req).measurement.is_some());
+                assert!(machine.probe(req).is_some());
                 cells += 1;
             }
         }

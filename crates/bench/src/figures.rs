@@ -185,11 +185,15 @@ fn local_copy_figure(id: MachineId, quick: bool) -> FigureOutput {
         vec![
             (
                 "strided loads/contiguous stores",
-                Box::new(move |s| Some(m1.borrow_mut().local_copy(BIG_WS, s, 1).mb_s)),
+                Box::new(move |s| {
+                    SweepOp::CopyStridedLoads.measure(&mut **m1.borrow_mut(), BIG_WS, s)
+                }),
             ),
             (
                 "contiguous loads/strided stores",
-                Box::new(move |s| Some(m2.borrow_mut().local_copy(BIG_WS, 1, s).mb_s)),
+                Box::new(move |s| {
+                    SweepOp::CopyStridedStores.measure(&mut **m2.borrow_mut(), BIG_WS, s)
+                }),
             ),
         ],
     )
@@ -214,7 +218,7 @@ fn fig12(quick: bool) -> FigureOutput {
         quick,
         vec![(
             "strided remote loads/contiguous stores",
-            Box::new(move |s| m.borrow_mut().remote_fetch(BIG_WS, s).map(|r| r.mb_s)),
+            Box::new(move |s| SweepOp::RemoteFetch.measure(&mut **m.borrow_mut(), BIG_WS, s)),
         )],
     )
 }
@@ -229,11 +233,13 @@ fn remote_copy_figure(id: MachineId, quick: bool) -> FigureOutput {
         vec![
             (
                 "strided remote loads (fetch)",
-                Box::new(move |s| m1.borrow_mut().remote_fetch(BIG_WS, s).map(|r| r.mb_s)),
+                Box::new(move |s| SweepOp::RemoteFetch.measure(&mut **m1.borrow_mut(), BIG_WS, s)),
             ),
             (
                 "strided remote stores (deposit)",
-                Box::new(move |s| m2.borrow_mut().remote_deposit(BIG_WS, s).map(|r| r.mb_s)),
+                Box::new(move |s| {
+                    SweepOp::RemoteDeposit.measure(&mut **m2.borrow_mut(), BIG_WS, s)
+                }),
             ),
         ],
     )

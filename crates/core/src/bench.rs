@@ -8,9 +8,7 @@
 //! stride." A third **Store Constant** benchmark evaluates store
 //! performance.
 
-use gasnub_machines::{
-    dispatch, Machine, ProbeOp, ProbeRequest, ProbeTier, SpawnEngine, WarmState,
-};
+use gasnub_machines::{Machine, ProbeOp, ProbeRequest, ProbeTier, SpawnEngine, WarmState};
 use gasnub_memsim::SimError;
 
 use crate::pool::run_indexed;
@@ -133,9 +131,7 @@ impl SweepOp {
     /// The [`ProbeRequest`] for one grid cell of this benchmark — the
     /// single place the grid's `stride` maps onto an operation's stride
     /// pair (strided-load copies stride the load side, strided-store
-    /// copies the store side). Tier and measurement caps are left at
-    /// their defaults; chain [`ProbeRequest::with_tier`] /
-    /// [`ProbeRequest::with_limits`] to set them.
+    /// copies the store side).
     pub fn request(self, ws_bytes: u64, stride: u64) -> ProbeRequest {
         match self {
             SweepOp::CopyStridedStores => {
@@ -151,7 +147,9 @@ impl SweepOp {
     /// Measures one cell on `machine` through the unified probe API.
     /// `None` when the operation is unsupported there.
     pub fn measure(self, machine: &mut dyn Machine, ws_bytes: u64, stride: u64) -> Option<f64> {
-        dispatch(machine, &self.request(ws_bytes, stride)).mb_s()
+        machine
+            .probe(&self.request(ws_bytes, stride))
+            .map(|m| m.mb_s)
     }
 }
 
@@ -231,7 +229,10 @@ pub fn sweep_surface(machine: &mut dyn Machine, op: SweepOp, grid: &Grid) -> Opt
 pub fn local_gather_curve(machine: &mut dyn Machine, working_sets: &[u64]) -> Vec<(u64, f64)> {
     working_sets
         .iter()
-        .map(|&ws| (ws, machine.local_gather(ws).mb_s))
+        .map(|&ws| {
+            let req = ProbeRequest::new(ProbeOp::LocalGather, ws, 0);
+            (ws, machine.probe(&req).expect("gathers always run").mb_s)
+        })
         .collect()
 }
 

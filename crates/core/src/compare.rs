@@ -9,7 +9,8 @@
 //! memory systems design philosophies, i.e. a cache focus on the DEC
 //! machine and a streams focus on the Cray machines."
 
-use gasnub_machines::{Machine, MachineId};
+use gasnub_machines::ProbeOp::{LocalCopy, LocalGather, LocalLoad, RemoteDeposit, RemoteFetch};
+use gasnub_machines::{Machine, MachineId, ProbeRequest};
 
 /// The §9 summary row for one machine (all MB/s, large working sets).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,28 +36,21 @@ pub struct MachineSummary {
 impl MachineSummary {
     /// Measures the summary for `machine` with a DRAM-resident working set.
     pub fn measure(machine: &mut dyn Machine, ws_bytes: u64) -> Self {
-        let best_remote = |machine: &mut dyn Machine, stride: u64| {
-            let fetch = machine.remote_fetch(ws_bytes, stride).map(|m| m.mb_s);
-            let deposit = machine.remote_deposit(ws_bytes, stride).map(|m| m.mb_s);
-            match (fetch, deposit) {
-                (Some(f), Some(d)) => f.max(d),
-                (Some(f), None) => f,
-                (None, Some(d)) => d,
-                (None, None) => 0.0,
-            }
+        let id = machine.id();
+        // Unsupported (remote) ops read as 0 MB/s.
+        let mut mb_s = |op, stride, stride2| {
+            let req = ProbeRequest::new(op, ws_bytes, stride).with_stride2(stride2);
+            machine.probe(&req).map_or(0.0, |m| m.mb_s)
         };
         MachineSummary {
-            machine: machine.id(),
-            local_load_contig: machine.local_load(ws_bytes, 1).mb_s,
-            local_load_strided: machine.local_load(ws_bytes, 16).mb_s,
-            local_copy_contig: machine.local_copy(ws_bytes, 1, 1).mb_s,
-            local_copy_strided: machine
-                .local_copy(ws_bytes, 16, 1)
-                .mb_s
-                .max(machine.local_copy(ws_bytes, 1, 16).mb_s),
-            remote_contig: best_remote(machine, 1),
-            remote_strided: best_remote(machine, 16),
-            gather: machine.local_gather(ws_bytes).mb_s,
+            machine: id,
+            local_load_contig: mb_s(LocalLoad, 1, 0),
+            local_load_strided: mb_s(LocalLoad, 16, 0),
+            local_copy_contig: mb_s(LocalCopy, 1, 1),
+            local_copy_strided: mb_s(LocalCopy, 16, 1).max(mb_s(LocalCopy, 1, 16)),
+            remote_contig: mb_s(RemoteFetch, 1, 0).max(mb_s(RemoteDeposit, 1, 0)),
+            remote_strided: mb_s(RemoteFetch, 16, 0).max(mb_s(RemoteDeposit, 16, 0)),
+            gather: mb_s(LocalGather, 0, 0),
         }
     }
 

@@ -17,7 +17,8 @@
 //!   that this "never pays off" on these machines because remote bandwidth
 //!   is at least local copy bandwidth.
 
-use gasnub_machines::{Machine, MachineId};
+use gasnub_machines::ProbeOp::{LocalCopy, RemoteDeposit, RemoteFetch};
+use gasnub_machines::{Machine, MachineId, ProbeRequest};
 use gasnub_memsim::WORD_BYTES;
 
 /// A candidate implementation of a strided remote transfer.
@@ -118,23 +119,28 @@ impl CostModel {
         ws_bytes: u64,
         block_bytes: u64,
     ) -> Self {
-        let deposit_contig = machine.remote_deposit(ws_bytes, 1).map(|m| m.mb_s);
-        let fetch_contig = machine.remote_fetch(ws_bytes, 1).map(|m| m.mb_s);
+        let (machine_id, clock_mhz) = (machine.id(), machine.clock_mhz());
+        let mut mb_s = |op, ws, stride| {
+            let req = ProbeRequest::new(op, ws, stride);
+            machine.probe(&req).map(|m| m.mb_s)
+        };
+        let deposit_contig = mb_s(RemoteDeposit, ws_bytes, 1);
+        let fetch_contig = mb_s(RemoteFetch, ws_bytes, 1);
         let rates = strides
             .iter()
             .map(|&stride| StrideRates {
                 stride,
-                deposit: machine.remote_deposit(ws_bytes, stride).map(|m| m.mb_s),
-                fetch: machine.remote_fetch(ws_bytes, stride).map(|m| m.mb_s),
+                deposit: mb_s(RemoteDeposit, ws_bytes, stride),
+                fetch: mb_s(RemoteFetch, ws_bytes, stride),
                 // Packing rearranges with strided loads into a contiguous
                 // buffer.
-                local_pack: machine.local_copy(ws_bytes, stride, 1).mb_s,
-                blocked_fetch: machine.remote_fetch(block_bytes, stride).map(|m| m.mb_s),
+                local_pack: mb_s(LocalCopy, ws_bytes, stride).expect("local copies always run"),
+                blocked_fetch: mb_s(RemoteFetch, block_bytes, stride),
             })
             .collect();
         CostModel {
-            machine: machine.id(),
-            clock_mhz: machine.clock_mhz(),
+            machine: machine_id,
+            clock_mhz,
             ws_bytes,
             block_bytes,
             deposit_contig,

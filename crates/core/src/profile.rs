@@ -1,10 +1,9 @@
 //! One-call characterization of a machine: every surface the paper draws
 //! for it, bundled with a text report.
 
-use gasnub_machines::{Machine, MachineId, SpawnEngine};
-use gasnub_memsim::SimError;
+use gasnub_machines::{Machine, MachineId};
 
-use crate::bench::{sweep_surface, sweep_surface_par, SweepOp};
+use crate::bench::{sweep_surface, SweepOp};
 use crate::surface::Surface;
 use crate::sweep::Grid;
 
@@ -50,39 +49,6 @@ impl MachineProfile {
         }
     }
 
-    /// Measures the same profile as [`MachineProfile::measure`], but with
-    /// every surface's cells grouped into same-stride runs, each run walked
-    /// on a warm engine spawned from `spawner` ([`gasnub_machines::WarmState`])
-    /// and the runs spread across `threads` workers. Because a flushed
-    /// engine is indistinguishable from a fresh one, the profile is
-    /// bit-identical to the sequential one for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`SimError`] from `spawner`.
-    pub fn measure_parallel<S: SpawnEngine>(
-        spawner: &S,
-        local_grid: &Grid,
-        remote_grid: &Grid,
-        threads: usize,
-    ) -> Result<Self, SimError> {
-        let probe = spawner.spawn_engine()?;
-        let surface = |op: SweepOp, grid: &Grid| sweep_surface_par(spawner, op, grid, threads);
-        Ok(MachineProfile {
-            machine: probe.id(),
-            name: probe.name(),
-            local_loads: surface(SweepOp::LocalLoad, local_grid)?
-                .expect("local loads are supported everywhere"),
-            copy_strided_loads: surface(SweepOp::CopyStridedLoads, local_grid)?
-                .expect("local copies are supported everywhere"),
-            copy_strided_stores: surface(SweepOp::CopyStridedStores, local_grid)?
-                .expect("local copies are supported everywhere"),
-            remote_loads: surface(SweepOp::RemoteLoad, remote_grid)?,
-            remote_fetch: surface(SweepOp::RemoteFetch, remote_grid)?,
-            remote_deposit: surface(SweepOp::RemoteDeposit, remote_grid)?,
-        })
-    }
-
     /// All surfaces present in this profile, in a stable order.
     pub fn surfaces(&self) -> Vec<&Surface> {
         let mut out = vec![
@@ -116,15 +82,6 @@ mod tests {
         spec.with_limits(MeasureLimits::fast()).build().unwrap()
     }
 
-    /// A fast engine kept off the probe memo by its recorder, so the
-    /// sequential oracle re-simulates instead of reading back cells that
-    /// another engine of the same spec memoized.
-    fn unmemoized(spec: MachineSpec) -> TransferEngine {
-        let mut m = fast(spec);
-        m.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-        m
-    }
-
     #[test]
     fn t3d_profile_has_both_remote_directions() {
         let mut m = fast(MachineSpec::t3d());
@@ -138,19 +95,6 @@ mod tests {
         assert!(p.remote_loads.is_none());
         assert_eq!(p.surfaces().len(), 5);
         assert!(p.report().contains("local loads"));
-    }
-
-    #[test]
-    fn parallel_profile_is_bit_identical_to_sequential() {
-        let spec = MachineSpec::t3e().with_limits(MeasureLimits::fast());
-        let grid = Grid {
-            strides: vec![1, 16],
-            working_sets: vec![1 << 20],
-        };
-        let mut m = unmemoized(MachineSpec::t3e());
-        let sequential = MachineProfile::measure(&mut m, &grid, &grid);
-        let parallel = MachineProfile::measure_parallel(&spec, &grid, &grid, 4).unwrap();
-        assert_eq!(parallel, sequential);
     }
 
     #[test]

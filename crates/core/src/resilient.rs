@@ -1258,22 +1258,13 @@ mod tests {
         runner.clear_checkpoint().unwrap();
     }
 
-    use gasnub_machines::{MachineId, MeasureLimits, Measurement};
+    use gasnub_machines::{MachineId, MeasureLimits, Measurement, ProbeOp, ProbeRequest};
 
     /// A trivial deterministic machine whose every probe reports the
-    /// synthetic [`model`] bandwidth; lets the parallel tests exercise the
-    /// pool without simulating a real hierarchy.
+    /// synthetic [`model`] bandwidth (pure remote loads are unsupported);
+    /// lets the parallel tests exercise the pool without simulating a real
+    /// hierarchy.
     struct Synthetic;
-
-    impl Synthetic {
-        fn meas(ws: u64, stride: u64) -> Measurement {
-            Measurement {
-                bytes: ws,
-                cycles: 1.0,
-                mb_s: model(ws, stride),
-            }
-        }
-    }
 
     impl Machine for Synthetic {
         fn id(&self) -> MachineId {
@@ -1286,31 +1277,18 @@ mod tests {
             MeasureLimits::fast()
         }
         fn set_limits(&mut self, _limits: MeasureLimits) {}
-        fn local_load(&mut self, ws: u64, stride: u64) -> Measurement {
-            Self::meas(ws, stride)
-        }
-        fn local_store(&mut self, ws: u64, stride: u64) -> Measurement {
-            Self::meas(ws, stride)
-        }
-        fn local_copy(&mut self, ws: u64, load_stride: u64, _store_stride: u64) -> Measurement {
-            Self::meas(ws, load_stride)
-        }
-        fn local_gather(&mut self, ws: u64) -> Measurement {
-            Self::meas(ws, 1)
-        }
-        fn remote_load(&mut self, _ws: u64, _stride: u64) -> Option<Measurement> {
-            None
-        }
-        fn remote_fetch(&mut self, ws: u64, stride: u64) -> Option<Measurement> {
-            Some(Self::meas(ws, stride))
-        }
-        fn remote_deposit(&mut self, ws: u64, stride: u64) -> Option<Measurement> {
-            Some(Self::meas(ws, stride))
+        fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
+            (req.op != ProbeOp::RemoteLoad).then(|| Measurement {
+                bytes: req.ws_bytes,
+                cycles: 1.0,
+                mb_s: model(req.ws_bytes, req.stride),
+            })
         }
     }
 
     fn synthetic_probe(m: &mut Synthetic, ws: u64, stride: u64) -> Option<f64> {
-        Some(m.local_load(ws, stride).mb_s)
+        m.probe(&ProbeRequest::new(ProbeOp::LocalLoad, ws, stride))
+            .map(|r| r.mb_s)
     }
 
     #[test]
@@ -1449,7 +1427,10 @@ mod tests {
                 &grid(),
                 2,
                 &(|| Synthetic),
-                |m: &mut Synthetic, ws, s| m.remote_load(ws, s).map(|r| r.mb_s),
+                |m: &mut Synthetic, ws, s| {
+                    m.probe(&ProbeRequest::new(ProbeOp::RemoteLoad, ws, s))
+                        .map(|r| r.mb_s)
+                },
             )
             .unwrap();
         assert_eq!(out.failed.len(), grid().cells());

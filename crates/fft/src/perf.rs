@@ -1,11 +1,11 @@
 //! Performance models for the distributed FFT: compute rates coupled to the
 //! measured memory characterization, and fleet-contention transfer costs.
 
-use std::collections::HashMap;
-
-use gasnub_machines::{Ablation, Machine, MachineId, MachineSpec, MeasureLimits};
+use gasnub_machines::ProbeOp::{LocalCopy, RemoteDeposit, RemoteFetch};
+use gasnub_machines::{Ablation, Machine, MachineId, MachineSpec, MeasureLimits, ProbeRequest};
 use gasnub_memsim::WORD_BYTES;
 use gasnub_shmem::{TransferCost, TransferKind};
+use std::collections::HashMap;
 
 use crate::fft1d::fft_flops;
 
@@ -94,10 +94,10 @@ impl ComputeModel {
     /// Measured contiguous local copy bandwidth at working set `ws` bytes.
     fn copy_bw(&mut self, ws: u64) -> f64 {
         let machine = &mut self.machine;
-        *self
-            .copy_bw_cache
-            .entry(ws)
-            .or_insert_with(|| machine.local_copy(ws, 1, 1).mb_s)
+        *self.copy_bw_cache.entry(ws).or_insert_with(|| {
+            let req = ProbeRequest::new(LocalCopy, ws, 1);
+            machine.probe(&req).expect("local copies always run").mb_s
+        })
     }
 
     /// Time of one n-point 1D-FFT in microseconds.
@@ -184,7 +184,8 @@ impl FleetCost {
         let cap = if aggregate_cap {
             // The bus-bound ceiling: the contiguous pull rate is as fast as
             // the shared path ever goes, regardless of how many PEs pull.
-            machine.remote_fetch(8 << 20, 1).map(|m| m.mb_s)
+            let req = ProbeRequest::new(RemoteFetch, 8 << 20, 1);
+            machine.probe(&req).map(|m| m.mb_s)
         } else {
             None
         };
@@ -210,12 +211,10 @@ impl FleetCost {
             return c;
         }
         let ws = 8 << 20;
+        let mut probe = |op| self.machine.probe(&ProbeRequest::new(op, ws, stride));
         let m = match kind {
-            TransferKind::Deposit => self
-                .machine
-                .remote_deposit(ws, stride)
-                .or_else(|| self.machine.remote_fetch(ws, stride)),
-            TransferKind::Fetch => self.machine.remote_fetch(ws, stride),
+            TransferKind::Deposit => probe(RemoteDeposit).or_else(|| probe(RemoteFetch)),
+            TransferKind::Fetch => probe(RemoteFetch),
         }
         .expect("machine supports neither transfer direction");
         let clock = self.machine.clock_mhz();

@@ -9,6 +9,7 @@
 use gasnub_memsim::SimError;
 
 use crate::machine::{Machine, MachineId};
+use crate::probe::{ProbeOp, ProbeRequest};
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -84,33 +85,22 @@ impl CalibrationPoint {
         }
         let unsupported =
             || SimError::unsupported(format!("calibration point {}: probe unsupported", self.id));
-        let mb_s = match self.probe {
-            Probe::LocalLoad { ws, stride } => machine.local_load(ws, stride).mb_s,
+        let req = match self.probe {
+            Probe::LocalLoad { ws, stride } => ProbeRequest::new(ProbeOp::LocalLoad, ws, stride),
             Probe::LocalCopy {
                 ws,
                 load_stride,
                 store_stride,
-            } => machine.local_copy(ws, load_stride, store_stride).mb_s,
-            Probe::RemoteLoad { ws, stride } => {
-                machine
-                    .remote_load(ws, stride)
-                    .ok_or_else(unsupported)?
-                    .mb_s
-            }
+            } => ProbeRequest::new(ProbeOp::LocalCopy, ws, load_stride).with_stride2(store_stride),
+            Probe::RemoteLoad { ws, stride } => ProbeRequest::new(ProbeOp::RemoteLoad, ws, stride),
             Probe::RemoteFetch { ws, stride } => {
-                machine
-                    .remote_fetch(ws, stride)
-                    .ok_or_else(unsupported)?
-                    .mb_s
+                ProbeRequest::new(ProbeOp::RemoteFetch, ws, stride)
             }
             Probe::RemoteDeposit { ws, stride } => {
-                machine
-                    .remote_deposit(ws, stride)
-                    .ok_or_else(unsupported)?
-                    .mb_s
+                ProbeRequest::new(ProbeOp::RemoteDeposit, ws, stride)
             }
         };
-        Ok(mb_s)
+        machine.probe(&req).map(|m| m.mb_s).ok_or_else(unsupported)
     }
 
     /// Whether `measured` is within tolerance of the paper's value.
@@ -372,7 +362,12 @@ mod tests {
     use super::*;
     use crate::engine::TransferEngine;
     use crate::limits::MeasureLimits;
+    use crate::probe::ProbeOp::{LocalCopy, LocalGather, LocalLoad, RemoteDeposit, RemoteFetch};
     use crate::spec::MachineSpec;
+
+    fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+        ProbeRequest::new(op, ws, stride)
+    }
 
     fn engine(spec: MachineSpec) -> TransferEngine {
         spec.with_limits(MeasureLimits {
@@ -445,8 +440,14 @@ mod tests {
     fn t3d_contiguous_dram_beats_the_8400_by_30_percent() {
         // §5.3: "Contiguous loads from local DRAM memory on the Cray T3D are
         // about 30% faster than in the DEC 8400."
-        let t3d = engine(MachineSpec::t3d()).local_load(8 * MB, 1).mb_s;
-        let dec = engine(MachineSpec::dec8400()).local_load(32 * MB, 1).mb_s;
+        let t3d = engine(MachineSpec::t3d())
+            .probe(&req(LocalLoad, 8 * MB, 1))
+            .unwrap()
+            .mb_s;
+        let dec = engine(MachineSpec::dec8400())
+            .probe(&req(LocalLoad, 32 * MB, 1))
+            .unwrap()
+            .mb_s;
         let ratio = t3d / dec;
         assert!(ratio > 1.1 && ratio < 1.6, "T3D/8400 ratio {ratio}");
     }
@@ -456,8 +457,11 @@ mod tests {
         // Fig 10: the write-back queue makes contiguous-load/strided-store
         // copies much faster than strided-load/contiguous-store copies.
         let mut t3d = engine(MachineSpec::t3d());
-        let strided_stores = t3d.local_copy(8 * MB, 1, 16).mb_s;
-        let strided_loads = t3d.local_copy(8 * MB, 16, 1).mb_s;
+        let strided_stores = t3d
+            .probe(&req(LocalCopy, 8 * MB, 1).with_stride2(16))
+            .unwrap()
+            .mb_s;
+        let strided_loads = t3d.probe(&req(LocalCopy, 8 * MB, 16)).unwrap().mb_s;
         assert!(
             strided_stores > 1.3 * strided_loads,
             "strided stores {strided_stores} vs strided loads {strided_loads}"
@@ -468,13 +472,13 @@ mod tests {
     fn t3e_strided_deposits_near_70_for_power_of_two_strides() {
         let mut t3e = engine(MachineSpec::t3e());
         for stride in [8u64, 16, 32, 64] {
-            let put = t3e.remote_deposit(8 * MB, stride).unwrap().mb_s;
+            let put = t3e.probe(&req(RemoteDeposit, 8 * MB, stride)).unwrap().mb_s;
             assert!((put - 70.0).abs() / 70.0 < 0.25, "stride {stride}: {put}");
         }
         // §5.6: "fetches are more advantageous for even strides than
         // deposits."
-        let get = t3e.remote_fetch(8 * MB, 16).unwrap().mb_s;
-        let put = t3e.remote_deposit(8 * MB, 16).unwrap().mb_s;
+        let get = t3e.probe(&req(RemoteFetch, 8 * MB, 16)).unwrap().mb_s;
+        let put = t3e.probe(&req(RemoteDeposit, 8 * MB, 16)).unwrap().mb_s;
         assert!(get > 1.5 * put, "get {get} vs put {put}");
     }
 
@@ -483,16 +487,16 @@ mod tests {
         // Indexed accesses defeat both the line overfetch amortization and
         // the stream buffers *and* thrash DRAM rows.
         let mut t3e = engine(MachineSpec::t3e());
-        let gather = t3e.local_gather(8 * MB).mb_s;
-        let strided = t3e.local_load(8 * MB, 16).mb_s;
-        let contig = t3e.local_load(8 * MB, 1).mb_s;
+        let gather = t3e.probe(&req(LocalGather, 8 * MB, 0)).unwrap().mb_s;
+        let strided = t3e.probe(&req(LocalLoad, 8 * MB, 16)).unwrap().mb_s;
+        let contig = t3e.probe(&req(LocalLoad, 8 * MB, 1)).unwrap().mb_s;
         assert!(
             gather <= strided * 1.05,
             "gather {gather} vs strided {strided}"
         );
         assert!(gather < contig / 5.0, "gather {gather} vs contig {contig}");
         // But cache-resident gathers run at the L1 plateau.
-        let small = t3e.local_gather(4 * KB).mb_s;
+        let small = t3e.probe(&req(LocalGather, 4 * KB, 0)).unwrap().mb_s;
         assert!(small > 800.0, "L1-resident gather: {small}");
     }
 }

@@ -22,9 +22,8 @@ use crate::cancel::{CancelToken, Guarded};
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId, Measurement};
 use crate::memo::{self, MemoKey};
-use crate::probe::{dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbeRequest, ProbeTier};
+use crate::probe::{ProbeOp, ProbeRequest};
 use crate::spec::{T3dRemoteParams, T3eRemoteParams};
-use gasnub_memsim::SimError;
 
 /// Byte offset separating source and destination regions.
 pub(crate) const DST_REGION: u64 = 1 << 32;
@@ -39,6 +38,10 @@ const DEST_PE: u32 = 2;
 pub fn words_of(ws_bytes: u64) -> u64 {
     (ws_bytes / WORD_BYTES).max(1)
 }
+
+/// A kernel's result: the measurement plus the measured pass's statistics,
+/// when the kernel produced them (see [`TransferEngine::harvest_counters`]).
+type Run = (Measurement, Option<RunStats>);
 
 /// Which side of a strided word transfer serializes on memory banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -396,23 +399,15 @@ impl TransferEngine {
         }
     }
 
-    /// The memo key for a probe about to run, or `None` when memoization
-    /// does not apply: an enabled recorder (component counters and events
-    /// must be recomputed) or the `--cold` escape hatch
+    /// The memo key for a (normalised) probe about to run, or `None` when
+    /// memoization does not apply: an enabled recorder (component counters
+    /// and events must be recomputed) or the `--cold` escape hatch
     /// ([`gasnub_memsim::cold_path`]).
-    fn memo_key(&self, op: ProbeOp, ws_bytes: u64, stride: u64, stride2: u64) -> Option<MemoKey> {
+    fn memo_key(&self, req: &ProbeRequest) -> Option<MemoKey> {
         if self.recorder.enabled() {
             return None;
         }
-        let req = ProbeRequest {
-            op,
-            ws_bytes,
-            stride,
-            stride2,
-            limits: Some(self.limits),
-            tier: ProbeTier::Simulate,
-        };
-        req.memo_key(self.spec_hash)
+        req.memo_key(self.spec_hash, self.limits)
     }
 
     /// Whether an enabled recorder is installed, i.e. probe side effects
@@ -517,25 +512,19 @@ impl TransferEngine {
     /// all component counters, stamps the payload/cycle totals, records one
     /// `probe.<op>` event and stores the counter set for
     /// [`Machine::take_counters`]. With the default [`NullRecorder`] this is
-    /// a single branch.
-    fn observe(
-        &mut self,
-        op: &'static str,
-        ws_bytes: u64,
-        stride: u64,
-        measurement: &Measurement,
-        stats: Option<&RunStats>,
-        pull_provenance: bool,
-    ) {
+    /// a single branch. Remote probes that return run statistics are SMP
+    /// consumer pulls, whose DRAM fields carry supplier provenance.
+    fn observe(&mut self, req: &ProbeRequest, measurement: &Measurement, stats: Option<&RunStats>) {
         if !self.recorder.enabled() {
             return;
         }
+        let pull_provenance = req.op.is_remote() && stats.is_some();
         let mut counters = self.harvest_counters(stats, pull_provenance);
         counters.set("payload_bytes", measurement.bytes);
         counters.set("cycles", measurement.cycles.round() as u64);
-        let event = Event::new(format!("probe.{op}"))
-            .with("ws_bytes", ws_bytes)
-            .with("stride", stride)
+        let event = Event::new(format!("probe.{}", req.op.label()))
+            .with("ws_bytes", req.ws_bytes)
+            .with("stride", req.stride)
             .with_counters(&counters);
         self.recorder.record(event);
         self.last_counters = Some(counters);
@@ -545,6 +534,157 @@ impl TransferEngine {
     /// token (if any) every [`crate::cancel::CHECK_INTERVAL`] accesses.
     fn guard<I: Iterator>(&self, pass: I) -> Guarded<I> {
         Guarded::new(pass, self.cancel.clone())
+    }
+
+    // The probe kernels behind [`Machine::probe`], one per [`ProbeOp`]. Each
+    // starts from the flushed state and returns its measurement with the
+    // measured pass's statistics; the remote ones return `None` where the
+    // backend has no such path.
+
+    fn sim_local_load(&mut self, ws_bytes: u64, stride: u64) -> Run {
+        self.flush_all();
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let words = words_of(ws_bytes);
+        let prime =
+            self.guard(StridedPass::new(0, words, stride).take(limits.prime_words(words) as usize));
+        let measured = limits.measure_words(words);
+        let measure = self.guard(StridedPass::new(0, words, stride).take(measured as usize));
+        let stats = self.mem().prime_and_measure(prime, measure);
+        let m = Measurement::new(stats.bytes, stats.cycles, clock);
+        (m, Some(stats))
+    }
+
+    fn sim_local_store(&mut self, ws_bytes: u64, stride: u64) -> Run {
+        self.flush_all();
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let words = words_of(ws_bytes);
+        let prime =
+            self.guard(StorePass::new(0, words, stride).take(limits.prime_words(words) as usize));
+        let measured = limits.measure_words(words);
+        let measure = self.guard(StorePass::new(0, words, stride).take(measured as usize));
+        let stats = self.mem().prime_and_measure(prime, measure);
+        let m = Measurement::new(stats.bytes, stats.cycles, clock);
+        (m, Some(stats))
+    }
+
+    fn sim_local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Run {
+        self.flush_all();
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let words = words_of(ws_bytes);
+        let measured = limits.measure_words(words);
+        let prime = self.guard(
+            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
+                .take(2 * limits.prime_words(words) as usize),
+        );
+        let measure = self.guard(
+            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
+                .take(2 * measured as usize),
+        );
+        let stats = self.mem().prime_and_measure(prime, measure);
+        // Copied payload counts once.
+        let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
+        (m, Some(stats))
+    }
+
+    fn sim_local_gather(&mut self, ws_bytes: u64) -> Run {
+        self.flush_all();
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let words = words_of(ws_bytes);
+        let measured = limits.measure_words(words);
+        let prime =
+            self.guard(StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize));
+        let indices =
+            gasnub_memsim::trace::shuffled_indices(words, measured as usize, self.gather_seed);
+        let measure = self.guard(gasnub_memsim::trace::IndexedPass::new(0, indices));
+        let stats = self.mem().prime_and_measure(prime, measure);
+        let m = Measurement::new(stats.bytes, stats.cycles, clock);
+        (m, Some(stats))
+    }
+
+    fn sim_remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let cancel = self.cancel.clone();
+        match &mut self.backend {
+            Backend::Smp(smp) => {
+                smp.flush();
+                let words = words_of(ws_bytes);
+                // Producer (P1) writes the data; consumer (P0) pulls after a
+                // synchronization point (§5.2).
+                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
+                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
+                let measured = limits.measure_words(words);
+                let pull = StridedPass::new(0, words, stride).take(measured as usize);
+                let stats = smp.consumer_pull(0, Guarded::new(pull, cancel));
+                let m = Measurement::new(stats.bytes, stats.cycles, clock);
+                Some((m, Some(stats)))
+            }
+            // Pure remote loads without a local destination are not one of
+            // the paper's torus benchmarks (fig 4 measures shmem_iget
+            // transfers).
+            Backend::Node { .. } => None,
+        }
+    }
+
+    fn sim_remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let cancel = self.cancel.clone();
+        match &mut self.backend {
+            Backend::Smp(smp) => {
+                smp.flush();
+                let words = words_of(ws_bytes);
+                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
+                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
+                let measured = limits.measure_words(words);
+                // Strided remote loads, contiguous local stores (fig 12).
+                let copy =
+                    CopyPass::new(0, DST_REGION, words, stride, 1).take(2 * measured as usize);
+                let stats = smp.consumer_pull(0, Guarded::new(copy, cancel));
+                let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
+                Some((m, Some(stats)))
+            }
+            Backend::Node { engine, remote } => match remote {
+                RemotePath::None => None,
+                RemotePath::T3d(path) => {
+                    Some(path.run_fetch(engine, limits, clock, ws_bytes, stride, cancel))
+                }
+                RemotePath::T3e(path) => Some(path.run_remote(
+                    engine,
+                    limits,
+                    clock,
+                    ws_bytes,
+                    stride,
+                    Direction::Fetch,
+                    cancel,
+                )),
+            }
+            .map(|m| (m, None)),
+        }
+    }
+
+    fn sim_remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
+        let (limits, clock) = (self.limits, self.clock_mhz);
+        let cancel = self.cancel.clone();
+        let deposited = match &mut self.backend {
+            // "The DEC 8400 does not have support for pushing data into
+            // memory or caches of a remote processor." (§5.2)
+            Backend::Smp(_) => None,
+            Backend::Node { engine, remote } => match remote {
+                RemotePath::None => None,
+                RemotePath::T3d(path) => {
+                    Some(path.run_deposit(engine, limits, clock, ws_bytes, stride, cancel))
+                }
+                RemotePath::T3e(path) => Some(path.run_remote(
+                    engine,
+                    limits,
+                    clock,
+                    ws_bytes,
+                    stride,
+                    Direction::Deposit,
+                    cancel,
+                )),
+            },
+        };
+        deposited.map(|m| (m, None))
     }
 }
 
@@ -573,241 +713,30 @@ impl Machine for TransferEngine {
         self.limits = limits;
     }
 
-    fn local_load(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalLoad, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
+    fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
+        let req = req.normalized();
+        let key = self.memo_key(&req);
+        if let Some(cached) = key.as_ref().and_then(memo::lookup) {
+            return cached;
         }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StridedPass::new(0, words, stride).take(limits.prime_words(words) as usize));
-        let measured = limits.measure_words(words);
-        let measure = self.guard(StridedPass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_load", ws_bytes, stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
-    }
-
-    fn local_store(&mut self, ws_bytes: u64, stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalStore, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StorePass::new(0, words, stride).take(limits.prime_words(words) as usize));
-        let measured = limits.measure_words(words);
-        let measure = self.guard(StorePass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_store", ws_bytes, stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
-    }
-
-    fn local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalCopy, ws_bytes, load_stride, store_stride);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * limits.prime_words(words) as usize),
-        );
-        let measure = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * measured as usize),
-        );
-        let stats = self.mem().prime_and_measure(prime, measure);
-        // Copied payload counts once.
-        let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-        self.observe("local_copy", ws_bytes, load_stride, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
-    }
-
-    fn local_gather(&mut self, ws_bytes: u64) -> Measurement {
-        let key = self.memo_key(ProbeOp::LocalGather, ws_bytes, 0, 0);
-        if let Some(k) = &key {
-            if let Some(Some(m)) = memo::lookup(k) {
-                return m;
-            }
-        }
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime =
-            self.guard(StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize));
-        let indices =
-            gasnub_memsim::trace::shuffled_indices(words, measured as usize, self.gather_seed);
-        let measure = self.guard(gasnub_memsim::trace::IndexedPass::new(0, indices));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        self.observe("local_gather", ws_bytes, 0, &m, Some(&stats), false);
-        if let Some(k) = key {
-            memo::insert(k, Some(m));
-        }
-        m
-    }
-
-    fn remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteLoad, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
-            }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let pulled = match &mut self.backend {
-            Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
-                // Producer (P1) writes the data; consumer (P0) pulls after a
-                // synchronization point (§5.2).
-                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
-                let measured = limits.measure_words(words);
-                let pull = StridedPass::new(0, words, stride).take(measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(pull, cancel));
-                let m = Measurement::new(stats.bytes, stats.cycles, clock);
-                Some((m, stats))
-            }
-            // Pure remote loads without a local destination are not one of
-            // the paper's torus benchmarks (fig 4 measures shmem_iget
-            // transfers).
-            Backend::Node { .. } => None,
+        let (ws, stride) = (req.ws_bytes, req.stride);
+        let run = match req.op {
+            ProbeOp::LocalLoad => Some(self.sim_local_load(ws, stride)),
+            ProbeOp::LocalStore => Some(self.sim_local_store(ws, stride)),
+            ProbeOp::LocalCopy => Some(self.sim_local_copy(ws, stride, req.stride2)),
+            ProbeOp::LocalGather => Some(self.sim_local_gather(ws)),
+            ProbeOp::RemoteLoad => self.sim_remote_load(ws, stride),
+            ProbeOp::RemoteFetch => self.sim_remote_fetch(ws, stride),
+            ProbeOp::RemoteDeposit => self.sim_remote_deposit(ws, stride),
         };
-        let result = pulled.map(|(m, stats)| {
-            self.observe("remote_load", ws_bytes, stride, &m, Some(&stats), true);
+        let result = run.map(|(m, stats)| {
+            self.observe(&req, &m, stats.as_ref());
             m
         });
         if let Some(k) = key {
             memo::insert(k, result);
         }
         result
-    }
-
-    fn remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteFetch, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
-            }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let fetched = match &mut self.backend {
-            Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
-                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
-                let measured = limits.measure_words(words);
-                // Strided remote loads, contiguous local stores (fig 12).
-                let copy =
-                    CopyPass::new(0, DST_REGION, words, stride, 1).take(2 * measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(copy, cancel));
-                let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-                Some((m, Some(stats)))
-            }
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => Some((
-                    path.run_fetch(engine, limits, clock, ws_bytes, stride, cancel),
-                    None,
-                )),
-                RemotePath::T3e(path) => Some((
-                    path.run_remote(
-                        engine,
-                        limits,
-                        clock,
-                        ws_bytes,
-                        stride,
-                        Direction::Fetch,
-                        cancel,
-                    ),
-                    None,
-                )),
-            },
-        };
-        let result = fetched.map(|(m, stats)| {
-            let pull_provenance = stats.is_some();
-            self.observe(
-                "remote_fetch",
-                ws_bytes,
-                stride,
-                &m,
-                stats.as_ref(),
-                pull_provenance,
-            );
-            m
-        });
-        if let Some(k) = key {
-            memo::insert(k, result);
-        }
-        result
-    }
-
-    fn remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement> {
-        let key = self.memo_key(ProbeOp::RemoteDeposit, ws_bytes, stride, 0);
-        if let Some(k) = &key {
-            if let Some(cached) = memo::lookup(k) {
-                return cached;
-            }
-        }
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let deposited = match &mut self.backend {
-            // "The DEC 8400 does not have support for pushing data into
-            // memory or caches of a remote processor." (§5.2)
-            Backend::Smp(_) => None,
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => {
-                    Some(path.run_deposit(engine, limits, clock, ws_bytes, stride, cancel))
-                }
-                RemotePath::T3e(path) => Some(path.run_remote(
-                    engine,
-                    limits,
-                    clock,
-                    ws_bytes,
-                    stride,
-                    Direction::Deposit,
-                    cancel,
-                )),
-            },
-        };
-        if let Some(m) = &deposited {
-            self.observe("remote_deposit", ws_bytes, stride, m, None, false);
-        }
-        if let Some(k) = key {
-            memo::insert(k, deposited);
-        }
-        deposited
     }
 
     fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
@@ -825,16 +754,6 @@ impl Machine for TransferEngine {
 
     fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
-    }
-}
-
-impl ProbeBackend for TransferEngine {
-    /// Full-simulation backend: every request runs through the per-op
-    /// probes (which consult the memo internally under this engine's spec
-    /// hash). The request's tier is ignored — an engine without
-    /// an analytic model has only one tier to offer.
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError> {
-        Ok(dispatch(self, req))
     }
 }
 
@@ -867,6 +786,10 @@ mod tests {
         assert!(t3d.smp_system().is_none());
     }
 
+    fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+        ProbeRequest::new(op, ws, stride)
+    }
+
     /// Without a recorder, probes leave no counters behind; with a
     /// `RingRecorder` installed, each probe harvests counters and records
     /// one event, and the observation does not change the measurement.
@@ -876,14 +799,16 @@ mod tests {
 
         let mut quiet = MachineSpec::t3d().build().unwrap();
         quiet.set_limits(MeasureLimits::fast());
-        let baseline = quiet.local_load(64 << 10, 8);
+        let baseline = quiet.probe(&req(ProbeOp::LocalLoad, 64 << 10, 8)).unwrap();
         assert!(quiet.take_counters().is_none());
         assert!(quiet.drain_events().is_empty());
 
         let mut observed = MachineSpec::t3d().build().unwrap();
         observed.set_limits(MeasureLimits::fast());
         observed.set_recorder(Box::new(RingRecorder::new(16)));
-        let measured = observed.local_load(64 << 10, 8);
+        let measured = observed
+            .probe(&req(ProbeOp::LocalLoad, 64 << 10, 8))
+            .unwrap();
         assert_eq!(measured.bytes, baseline.bytes);
         assert_eq!(measured.cycles, baseline.cycles);
 
@@ -896,7 +821,7 @@ mod tests {
         assert_eq!(events[0].field("stride"), Some(8));
 
         let deposit = observed
-            .remote_deposit(64 << 10, 8)
+            .probe(&req(ProbeOp::RemoteDeposit, 64 << 10, 8))
             .expect("t3d deposits remotely");
         let counters = observed.take_counters().expect("remote counters");
         assert_eq!(counters.get("payload_bytes"), deposit.bytes);
@@ -905,34 +830,73 @@ mod tests {
     }
 
     /// Repeated cells hit the per-process memo instead of re-simulating,
-    /// and memoized results are bit-identical to computed ones. Observed
+    /// for every op on one machine of each model family, and memoized
+    /// results are bit-identical to computed ones. Unsupported outcomes
+    /// memoize as `None`, and a gather (which ignores its stride) at a
+    /// second stride is served from the first stride's entry. Observed
     /// engines (enabled recorder) bypass the memo entirely so counters and
     /// events stay faithful.
     #[test]
     fn repeated_probes_hit_the_memo_with_identical_results() {
         use crate::memo;
         let _guard = memo::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let bits = |m: Option<Measurement>| m.map(|m| (m.bytes, m.cycles.to_bits()));
+        let ops = [
+            ProbeOp::LocalLoad,
+            ProbeOp::LocalStore,
+            ProbeOp::LocalCopy,
+            ProbeOp::LocalGather,
+            ProbeOp::RemoteLoad,
+            ProbeOp::RemoteFetch,
+            ProbeOp::RemoteDeposit,
+        ];
 
+        let families = [
+            MachineSpec::dec8400(),
+            MachineSpec::t3d(),
+            MachineSpec::t3e(),
+            MachineSpec::for_id(MachineId::Custom),
+        ];
+        for spec in families {
+            let mut engine = spec.with_limits(MeasureLimits::fast()).build().unwrap();
+            let label = engine.label();
+            for op in ops {
+                let cell = req(op, 48 << 10, 3);
+                let first = engine.probe(&cell);
+                let (hits0, _) = memo::stats();
+                let second = engine.probe(&cell);
+                let (hits1, _) = memo::stats();
+                assert!(
+                    hits1 > hits0,
+                    "{label} {op:?}: repeat must be served by the memo"
+                );
+                assert_eq!(bits(first), bits(second), "{label} {op:?}");
+                if first.is_none() {
+                    let key = engine.memo_key(&cell.normalized()).expect("memoizable");
+                    assert_eq!(memo::lookup(&key), Some(None), "{label} {op:?}");
+                }
+            }
+            let gather = engine.probe(&req(ProbeOp::LocalGather, 48 << 10, 3));
+            let (hits0, _) = memo::stats();
+            let restrided = engine.probe(&req(ProbeOp::LocalGather, 48 << 10, 16));
+            let (hits1, _) = memo::stats();
+            assert!(
+                hits1 > hits0,
+                "{label}: a gather's stride must not split the memo"
+            );
+            assert_eq!(bits(gather), bits(restrided), "{label}");
+        }
+
+        // An enabled recorder turns memoization off: the probe recomputes
+        // and harvests real counters.
         let mut engine = MachineSpec::t3e()
             .with_limits(MeasureLimits::fast())
             .build()
             .unwrap();
-        let first = engine.local_load(48 << 10, 3);
-        let (hits0, _) = memo::stats();
-        let second = engine.local_load(48 << 10, 3);
-        let (hits1, _) = memo::stats();
-        assert_eq!(first.cycles.to_bits(), second.cycles.to_bits());
-        assert!(hits1 > hits0, "second probe must be served by the memo");
-
-        // Unsupported outcomes memoize too (pure remote loads on a torus).
-        assert!(engine.remote_load(48 << 10, 3).is_none());
-        assert!(engine.remote_load(48 << 10, 3).is_none());
-
-        // An enabled recorder turns memoization off: the probe recomputes
-        // and harvests real counters.
+        let first = engine.probe(&req(ProbeOp::LocalLoad, 48 << 10, 3));
         engine.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-        let observed = engine.local_load(48 << 10, 3);
-        assert_eq!(observed.cycles.to_bits(), first.cycles.to_bits());
+        let observed = engine.probe(&req(ProbeOp::LocalLoad, 48 << 10, 3));
+        assert_eq!(bits(observed), bits(first));
         assert!(engine.take_counters().is_some());
     }
 }

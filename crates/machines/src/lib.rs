@@ -30,7 +30,8 @@
 //! interfaces, a jittery bus arbiter) and [`MachineSpec::ablate`] switches
 //! off one of the mechanisms the paper credits ([`Ablation`]).
 //!
-//! Every engine implements the [`machine::Machine`] trait: the probe
+//! Every engine implements the [`machine::Machine`] trait, whose single
+//! probing method, [`Machine::probe`], answers a [`ProbeRequest`]: the
 //! surface the characterization layer (`gasnub-core`) sweeps. Absolute
 //! cycle parameters are calibrated against the ~30 bandwidth figures quoted
 //! in the paper's prose; [`calibration`] holds that table and the test
@@ -39,13 +40,14 @@
 //! ## Example
 //!
 //! ```rust
-//! use gasnub_machines::{Machine, MachineSpec, MeasureLimits};
+//! use gasnub_machines::{Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest};
 //!
 //! let mut t3d = MachineSpec::t3d().with_limits(MeasureLimits::fast()).build()?;
 //! // The read-ahead logic makes contiguous DRAM loads far faster than
 //! // strided ones (fig 3).
-//! let contiguous = t3d.local_load(8 << 20, 1).mb_s;
-//! let strided = t3d.local_load(8 << 20, 16).mb_s;
+//! let mut load = |stride| t3d.probe(&ProbeRequest::new(ProbeOp::LocalLoad, 8 << 20, stride));
+//! let contiguous = load(1).unwrap().mb_s;
+//! let strided = load(16).unwrap().mb_s;
 //! assert!(contiguous > 3.0 * strided);
 //! # Ok::<(), gasnub_memsim::ConfigError>(())
 //! ```
@@ -68,9 +70,7 @@ pub use gasnub_faults::{FaultPlan, RouteImpact};
 pub use gasnub_trace::{CounterSet, Event, NullRecorder, Recorder, RingRecorder};
 pub use limits::MeasureLimits;
 pub use machine::{Machine, MachineId, Measurement};
-pub use probe::{
-    dispatch, ProbeBackend, ProbeOp, ProbeOutcome, ProbePath, ProbeRequest, ProbeTier,
-};
+pub use probe::{ProbeOp, ProbePath, ProbeRequest, ProbeTier};
 pub use registry::{BrokenSpec, MachineRegistry, ResolveError};
 pub use spec::{Ablation, MachineSpec, SpawnEngine};
 pub use specfile::SpecError;

@@ -4,6 +4,7 @@ use gasnub_trace::{CounterSet, Event, Recorder};
 
 use crate::cancel::CancelToken;
 use crate::limits::MeasureLimits;
+use crate::probe::ProbeRequest;
 
 /// Which of the paper's three systems a model represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,7 +91,8 @@ impl Measurement {
     }
 }
 
-/// A machine that can run the paper's micro-benchmarks.
+/// A machine that can run the paper's micro-benchmarks through one entry
+/// point, [`Machine::probe`].
 ///
 /// All working sets are in bytes, all strides in 64-bit words, matching the
 /// paper's axes. Each probe starts from a cold machine (implementations
@@ -121,37 +123,10 @@ pub trait Machine {
     /// Replaces the measurement caps (tests use [`MeasureLimits::fast`]).
     fn set_limits(&mut self, limits: MeasureLimits);
 
-    /// Local Load-Sum: strided loads over a primed working set (figs 1/3/6).
-    fn local_load(&mut self, ws_bytes: u64, stride: u64) -> Measurement;
-
-    /// Local Store-Constant: strided stores over a working set (§4.2's third
-    /// benchmark, reported in the text only).
-    fn local_store(&mut self, ws_bytes: u64, stride: u64) -> Measurement;
-
-    /// Local memory copy with one strided side (figs 9-11). Payload counts
-    /// the copied words once.
-    fn local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Measurement;
-
-    /// Local indexed (gather) loads: the working set visited in a
-    /// deterministic pseudo-random permutation — the paper's third access
-    /// pattern class ("contiguous, strided, and indexed accesses", §4),
-    /// the pattern of sparse-matrix codes. Neither read-ahead logic nor
-    /// stream buffers can help here.
-    fn local_gather(&mut self, ws_bytes: u64) -> Measurement;
-
-    /// Pure remote loads (fig 2's pull on the 8400). `None` when the machine
-    /// has no such mode.
-    fn remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement>;
-
-    /// Fetch transfer: strided remote loads + contiguous local stores
-    /// (figs 4/7, and the fetch series of figs 12-14).
-    fn remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement>;
-
-    /// Deposit transfer: contiguous local loads + strided remote stores
-    /// (figs 5/8, and the deposit series of figs 13-14). `None` on the
-    /// DEC 8400, which "does not have support for pushing data into memory
-    /// or caches of a remote processor" (§5.2).
-    fn remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Measurement>;
+    /// Runs one probe (see [`crate::ProbeOp`] for the seven operations). Returns
+    /// `None` only when the machine does not support the operation — a
+    /// property of the machine and the op, never of the cell.
+    fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement>;
 
     /// Installs an event recorder. While the recorder is enabled, every
     /// probe harvests its component counters and records one `probe.*`

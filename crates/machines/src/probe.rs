@@ -1,51 +1,47 @@
-//! The unified probe API: one request type, one entry point, one answer.
+//! The unified probe API: one request type, one entry point.
 //!
-//! Historically every layer picked its probe path through a different
-//! mechanism: callers chose among seven per-op [`Machine`] methods, the
-//! warm path was selected by handing a [`crate::WarmState`] to the sweep
-//! loop, memoization switched off through a hand-built engine's missing
-//! spec hash, and the `--cold` escape hatch was a process global. This
-//! module collapses that tier selection into data:
+//! A [`ProbeRequest`] names the operation and its grid cell (working set,
+//! stride and, for copies, the store stride). [`Machine::probe`] answers
+//! it — the simulator engine ([`crate::TransferEngine`], which consults
+//! the probe memo internally) and the analytic crate's tiered machine
+//! (which routes each request between its model and the simulator by the
+//! tier its spawner was built with, reporting the choice as a
+//! [`ProbePath`]) both implement that one method.
 //!
-//! * a [`ProbeRequest`] names the operation, the grid cell, the measurement
-//!   caps and the requested [`ProbeTier`];
-//! * a [`ProbeBackend`] answers requests through a single
-//!   `probe(&ProbeRequest)` entry point — implemented by the simulator
-//!   engine ([`crate::TransferEngine`], which consults the probe memo
-//!   internally) and the analytic fast path (`gasnub-analytic`'s tiered
-//!   machine);
-//! * a [`ProbeOutcome`] carries the measurement plus which path produced
-//!   it, so tiered dispatch is observable instead of implicit.
-//!
-//! The per-op [`Machine`] methods remain as the backend SPI (every backend
-//! ultimately implements them), and [`dispatch`] is the one place that maps
-//! a request onto them.
-
-use gasnub_memsim::SimError;
+//! [`Machine::probe`]: crate::Machine::probe
 
 use crate::limits::MeasureLimits;
-use crate::machine::{Machine, Measurement};
 use crate::memo::MemoKey;
 
-/// Which probe an outcome answers. Also the operation half of every memo
+/// Which probe a request runs. Also the operation half of every memo
 /// key (see [`crate::memo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeOp {
-    /// [`Machine::local_load`] — strided Load-Sum.
+    /// Local Load-Sum: strided loads over a primed working set (figs
+    /// 1/3/6).
     LocalLoad,
-    /// [`Machine::local_store`] — strided Store-Constant.
+    /// Local Store-Constant: strided stores over a working set (§4.2's
+    /// third benchmark, reported in the text only).
     LocalStore,
-    /// [`Machine::local_copy`] — copy with a load and a store stride.
+    /// Local memory copy with a load and a store stride (figs 9-11).
+    /// Payload counts the copied words once.
     LocalCopy,
-    /// [`Machine::local_gather`] — indexed loads over a permutation.
+    /// Local indexed (gather) loads: the working set visited in a
+    /// deterministic pseudo-random permutation — the paper's third access
+    /// pattern class ("contiguous, strided, and indexed accesses", §4), the
+    /// pattern of sparse-matrix codes. Neither read-ahead logic nor stream
+    /// buffers can help here. Ignores the stride.
     LocalGather,
-    /// [`Machine::remote_load`] — pure remote loads (the 8400's pull).
+    /// Pure remote loads (fig 2's pull on the 8400); unsupported on
+    /// machines without such a mode.
     RemoteLoad,
-    /// [`Machine::remote_fetch`] — strided remote loads, contiguous local
-    /// stores.
+    /// Fetch transfer: strided remote loads + contiguous local stores
+    /// (figs 4/7, and the fetch series of figs 12-14).
     RemoteFetch,
-    /// [`Machine::remote_deposit`] — contiguous local loads, strided remote
-    /// stores.
+    /// Deposit transfer: contiguous local loads + strided remote stores
+    /// (figs 5/8, and the deposit series of figs 13-14). Unsupported on the
+    /// DEC 8400, which "does not have support for pushing data into memory
+    /// or caches of a remote processor" (§5.2).
     RemoteDeposit,
 }
 
@@ -73,7 +69,7 @@ impl ProbeOp {
     }
 }
 
-/// Which execution tier a request asks for.
+/// Which execution tier a tiered machine routes by (`--tier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProbeTier {
     /// Analytic answer where the model is trusted for the cell, full
@@ -107,8 +103,7 @@ impl ProbeTier {
     }
 }
 
-/// One probe, fully described: the operation, the grid cell, the
-/// measurement caps and the execution tier.
+/// One probe, fully described: the operation and its grid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeRequest {
     /// The operation to measure.
@@ -118,28 +113,20 @@ pub struct ProbeRequest {
     /// Primary stride in 64-bit words (load stride for copies; ignored by
     /// gathers).
     pub stride: u64,
-    /// Secondary stride (store stride for [`ProbeOp::LocalCopy`]; 0
+    /// Secondary stride (store stride for [`ProbeOp::LocalCopy`]; ignored
     /// elsewhere).
     pub stride2: u64,
-    /// Measurement caps to install before probing; `None` keeps the
-    /// backend's current caps.
-    pub limits: Option<MeasureLimits>,
-    /// The execution tier. Backends without an analytic model treat every
-    /// tier as [`ProbeTier::Simulate`].
-    pub tier: ProbeTier,
 }
 
 impl ProbeRequest {
-    /// A request for `op` at `(ws_bytes, stride)` with default tier
-    /// ([`ProbeTier::Simulate`]) and the backend's current caps.
+    /// A request for `op` at `(ws_bytes, stride)`; copies store
+    /// contiguously until [`ProbeRequest::with_stride2`] says otherwise.
     pub fn new(op: ProbeOp, ws_bytes: u64, stride: u64) -> Self {
         ProbeRequest {
             op,
             ws_bytes,
             stride,
             stride2: if op == ProbeOp::LocalCopy { 1 } else { 0 },
-            limits: None,
-            tier: ProbeTier::Simulate,
         }
     }
 
@@ -150,28 +137,31 @@ impl ProbeRequest {
         self
     }
 
-    /// Sets the measurement caps to install before probing.
+    /// The request with the fields its op ignores zeroed: gathers have no
+    /// stride, only copies have a store stride, and a copy's store stride
+    /// is at least 1. Requests that differ only in ignored fields normalise
+    /// to the same value, so they share one memo entry and one analytic
+    /// route.
     #[must_use]
-    pub fn with_limits(mut self, limits: MeasureLimits) -> Self {
-        self.limits = Some(limits);
+    pub fn normalized(mut self) -> Self {
+        if self.op == ProbeOp::LocalGather {
+            self.stride = 0;
+        }
+        self.stride2 = if self.op == ProbeOp::LocalCopy {
+            self.stride2.max(1)
+        } else {
+            0
+        };
         self
     }
 
-    /// Sets the execution tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: ProbeTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The memo key of this request on a machine with the given spec
-    /// hash, or `None` when the result must not be memoized: unresolved
-    /// measurement caps, or the `--cold` escape hatch.
-    pub(crate) fn memo_key(&self, spec_hash: u64) -> Option<MemoKey> {
+    /// The memo key of this (normalised) request on a machine with the
+    /// given spec hash and measurement caps, or `None` under the `--cold`
+    /// escape hatch.
+    pub(crate) fn memo_key(&self, spec_hash: u64, limits: MeasureLimits) -> Option<MemoKey> {
         if gasnub_memsim::cold_path() {
             return None;
         }
-        let limits = self.limits?;
         Some(MemoKey {
             spec_hash,
             op: self.op,
@@ -193,82 +183,9 @@ pub enum ProbePath {
     Simulated,
 }
 
-/// The answer to one [`ProbeRequest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeOutcome {
-    /// The measurement; `None` when the machine does not support the
-    /// operation (deterministic — support depends on the machine and the
-    /// op, never on the cell).
-    pub measurement: Option<Measurement>,
-    /// Which path produced it.
-    pub path: ProbePath,
-}
-
-impl ProbeOutcome {
-    /// A simulator-produced outcome.
-    pub fn simulated(measurement: Option<Measurement>) -> Self {
-        ProbeOutcome {
-            measurement,
-            path: ProbePath::Simulated,
-        }
-    }
-
-    /// An analytically produced outcome.
-    pub fn analytic(measurement: Option<Measurement>) -> Self {
-        ProbeOutcome {
-            measurement,
-            path: ProbePath::Analytic,
-        }
-    }
-
-    /// The measured bandwidth, `None` when the op is unsupported.
-    pub fn mb_s(&self) -> Option<f64> {
-        self.measurement.map(|m| m.mb_s)
-    }
-}
-
-/// One probe entry point for every backend.
-///
-/// Implementations: [`crate::TransferEngine`] (full simulation) and the
-/// analytic crate's tiered machine (closed-form fast path with simulation
-/// fallback).
-pub trait ProbeBackend {
-    /// Answers one request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the backend cannot assemble an engine for
-    /// the request (spawn failures on lazy backends).
-    fn probe(&mut self, req: &ProbeRequest) -> Result<ProbeOutcome, SimError>;
-}
-
-/// Maps a request onto a [`Machine`]'s per-op probe methods — the single
-/// place the request/SPI translation lives. Installs the request's
-/// measurement caps first (when it carries any).
-pub fn dispatch<M: Machine + ?Sized>(machine: &mut M, req: &ProbeRequest) -> ProbeOutcome {
-    if let Some(limits) = req.limits {
-        if machine.limits() != limits {
-            machine.set_limits(limits);
-        }
-    }
-    let measurement = match req.op {
-        ProbeOp::LocalLoad => Some(machine.local_load(req.ws_bytes, req.stride)),
-        ProbeOp::LocalStore => Some(machine.local_store(req.ws_bytes, req.stride)),
-        ProbeOp::LocalCopy => {
-            Some(machine.local_copy(req.ws_bytes, req.stride, req.stride2.max(1)))
-        }
-        ProbeOp::LocalGather => Some(machine.local_gather(req.ws_bytes)),
-        ProbeOp::RemoteLoad => machine.remote_load(req.ws_bytes, req.stride),
-        ProbeOp::RemoteFetch => machine.remote_fetch(req.ws_bytes, req.stride),
-        ProbeOp::RemoteDeposit => machine.remote_deposit(req.ws_bytes, req.stride),
-    };
-    ProbeOutcome::simulated(measurement)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{MachineSpec, SpawnEngine};
 
     #[test]
     fn tier_labels_round_trip() {
@@ -280,49 +197,17 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_matches_direct_probe_calls() {
-        let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
-        let mut a = spec.spawn_engine().unwrap();
-        let mut b = spec.spawn_engine().unwrap();
-        let req = ProbeRequest::new(ProbeOp::LocalLoad, 64 << 10, 8);
-        let via_request = a.probe(&req).unwrap();
-        let direct = b.local_load(64 << 10, 8);
-        assert_eq!(via_request.path, ProbePath::Simulated);
+    fn normalisation_zeroes_ignored_fields() {
+        let gather = ProbeRequest::new(ProbeOp::LocalGather, 1 << 20, 16).with_stride2(4);
+        assert_eq!(gather.normalized().stride, 0);
+        assert_eq!(gather.normalized().stride2, 0);
+        let copy = ProbeRequest::new(ProbeOp::LocalCopy, 1 << 20, 2).with_stride2(0);
+        assert_eq!(copy.normalized().stride, 2);
+        assert_eq!(copy.normalized().stride2, 1);
+        let load = ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 8).with_stride2(3);
         assert_eq!(
-            via_request.measurement.unwrap().cycles.to_bits(),
-            direct.cycles.to_bits()
+            load.normalized(),
+            ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 8)
         );
-    }
-
-    #[test]
-    fn dispatch_applies_request_limits() {
-        let spec = MachineSpec::t3e();
-        let mut engine = spec.spawn_engine().unwrap();
-        let req =
-            ProbeRequest::new(ProbeOp::LocalStore, 32 << 10, 2).with_limits(MeasureLimits::fast());
-        let _ = engine.probe(&req).unwrap();
-        assert_eq!(engine.limits(), MeasureLimits::fast());
-    }
-
-    #[test]
-    fn copy_requests_carry_both_strides() {
-        let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
-        let mut via = spec.spawn_engine().unwrap();
-        let mut direct = spec.spawn_engine().unwrap();
-        let req = ProbeRequest::new(ProbeOp::LocalCopy, 1 << 20, 1).with_stride2(16);
-        let a = via.probe(&req).unwrap().measurement.unwrap();
-        let b = direct.local_copy(1 << 20, 1, 16);
-        assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
-    }
-
-    #[test]
-    fn only_capped_requests_memoize() {
-        let req =
-            ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1).with_limits(MeasureLimits::fast());
-        assert!(req.memo_key(42).is_some());
-        // Requests without resolved caps never memoize: the result would
-        // depend on backend state the key cannot see.
-        let uncapped = ProbeRequest::new(ProbeOp::LocalLoad, 1 << 20, 1);
-        assert!(uncapped.memo_key(42).is_none());
     }
 }

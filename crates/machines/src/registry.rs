@@ -1,10 +1,10 @@
 //! The machine registry: name → [`MachineSpec`] resolution.
 //!
 //! The registry is the single place machine names live. It starts from the
-//! embedded built-in specs (the paper's three machines plus the reference
-//! custom node — themselves ordinary spec files, see
-//! [`crate::specfile`]) and can overlay a *zoo directory* of `.toml` spec
-//! files. A zoo file with the same `name` as a built-in shadows it, so
+//! embedded built-in specs (every file of the repository's `machines/zoo`:
+//! the paper's three machines, the reference custom node, `numa2s` and
+//! `smp16` — ordinary spec files, see [`crate::specfile`]) and can overlay
+//! a *zoo directory* of `.toml` spec files. A zoo file with the same `name` as a built-in shadows it, so
 //! editing `machines/zoo/t3d.toml` changes what `t3d` means without
 //! touching Rust.
 //!
@@ -203,7 +203,10 @@ mod tests {
     #[test]
     fn builtin_registry_resolves_canonical_names_and_aliases() {
         let reg = MachineRegistry::builtin();
-        assert_eq!(reg.names(), vec!["dec8400", "t3d", "t3e", "custom"]);
+        assert_eq!(
+            reg.names(),
+            vec!["dec8400", "t3d", "t3e", "custom", "numa2s", "smp16"]
+        );
         let paper: Vec<&str> = reg.paper_specs().map(MachineSpec::label).collect();
         assert_eq!(paper, vec!["dec8400", "t3d", "t3e"]);
         assert_eq!(reg.resolve("t3d").unwrap().id(), MachineId::CrayT3d);

@@ -185,12 +185,16 @@ macro_rules! zoo_file {
     };
 }
 
-/// The embedded spec text of the built-in machines, in registry order.
+/// The embedded spec text of the built-in machines, in registry order:
+/// every file of `machines/zoo/`, so the binary knows the whole zoo from
+/// any working directory.
 pub(crate) const BUILTIN_SPECS: &[(&str, &str)] = &[
     ("dec8400", zoo_file!("dec8400.toml")),
     ("t3d", zoo_file!("t3d.toml")),
     ("t3e", zoo_file!("t3e.toml")),
     ("custom", zoo_file!("custom.toml")),
+    ("numa2s", zoo_file!("numa2s.toml")),
+    ("smp16", zoo_file!("smp16.toml")),
 ];
 
 fn builtin(label: &str) -> MachineSpec {
@@ -231,14 +235,15 @@ impl MachineSpec {
     /// return `None`: remote paths need a full interconnect description.
     ///
     /// ```rust
-    /// use gasnub_machines::{Machine, MachineSpec, MeasureLimits};
+    /// use gasnub_machines::{Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest};
     /// use gasnub_memsim::config::presets;
     ///
     /// let mut machine = MachineSpec::custom("my node", presets::tiny_test_node())
     ///     .with_limits(MeasureLimits::fast())
     ///     .build()?;
-    /// assert!(machine.local_load(64 * 1024, 1).mb_s > 0.0);
-    /// assert!(machine.remote_fetch(1 << 20, 1).is_none());
+    /// let load = machine.probe(&ProbeRequest::new(ProbeOp::LocalLoad, 64 * 1024, 1));
+    /// assert!(load.unwrap().mb_s > 0.0);
+    /// assert!(machine.probe(&ProbeRequest::new(ProbeOp::RemoteFetch, 1 << 20, 1)).is_none());
     /// # Ok::<(), gasnub_memsim::ConfigError>(())
     /// ```
     pub fn custom(name: impl Into<String>, node: NodeConfig) -> Self {
@@ -377,8 +382,8 @@ impl MachineSpec {
         }
     }
 
-    /// Whether this spec's model family has a remote path (so `faults`,
-    /// `remote_fetch` and friends apply).
+    /// Whether this spec's model family has a remote path (so `faults` and
+    /// the remote `ProbeOp`s apply).
     pub fn has_remote_path(&self) -> bool {
         !matches!(self.kind, SpecKind::Node { .. })
     }
@@ -630,7 +635,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::ProbeOp::{
+        LocalCopy, LocalGather, LocalLoad, RemoteDeposit, RemoteFetch, RemoteLoad,
+    };
+    use crate::probe::{ProbeOp, ProbeRequest};
     use gasnub_memsim::config::presets;
+
+    fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+        ProbeRequest::new(op, ws, stride)
+    }
 
     const KB: u64 = 1024;
     const MB: u64 = 1024 * 1024;
@@ -691,6 +704,10 @@ mod tests {
         assert_eq!(MachineSpec::dec8400().spec_hash(), 0x42ba_7dba_cdf4_561c);
         assert_eq!(MachineSpec::t3d().spec_hash(), 0x983a_669e_808b_0b2f);
         assert_eq!(MachineSpec::t3e().spec_hash(), 0x6821_90e1_4a56_ac52);
+        // The embedded copies of the non-paper zoo files are pinned the
+        // same way.
+        assert_eq!(builtin("numa2s").spec_hash(), 0x5ade_1d80_a944_89e2);
+        assert_eq!(builtin("smp16").spec_hash(), 0x62e0_208c_202a_76db);
     }
 
     #[test]
@@ -829,10 +846,10 @@ mod tests {
     fn contended_dram_is_slower_mostly_for_strided() {
         let mut idle = engine(MachineSpec::dec8400());
         let mut loaded = ablated(MachineSpec::dec8400(), Ablation::DramContention);
-        let idle_contig = idle.local_load(32 * MB, 1).mb_s;
-        let load_contig = loaded.local_load(32 * MB, 1).mb_s;
-        let idle_strided = idle.local_load(32 * MB, 16).mb_s;
-        let load_strided = loaded.local_load(32 * MB, 16).mb_s;
+        let idle_contig = idle.probe(&req(LocalLoad, 32 * MB, 1)).unwrap().mb_s;
+        let load_contig = loaded.probe(&req(LocalLoad, 32 * MB, 1)).unwrap().mb_s;
+        let idle_strided = idle.probe(&req(LocalLoad, 32 * MB, 16)).unwrap().mb_s;
+        let load_strided = loaded.probe(&req(LocalLoad, 32 * MB, 16)).unwrap().mb_s;
         let contig_drop = 1.0 - load_contig / idle_contig;
         let strided_drop = 1.0 - load_strided / idle_strided;
         assert!(
@@ -850,19 +867,23 @@ mod tests {
         // §2: with the other processors idle, per-processor results match.
         let mut four = engine(MachineSpec::dec8400());
         let mut eight = ablated(MachineSpec::dec8400(), Ablation::Processors(8));
-        let a = four.local_load(32 * MB, 1).mb_s;
-        let b = eight.local_load(32 * MB, 1).mb_s;
+        let a = four.probe(&req(LocalLoad, 32 * MB, 1)).unwrap().mb_s;
+        let b = eight.probe(&req(LocalLoad, 32 * MB, 1)).unwrap().mb_s;
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        let ra = four.remote_load(32 * MB, 16).unwrap().mb_s;
-        let rb = eight.remote_load(32 * MB, 16).unwrap().mb_s;
+        let ra = four.probe(&req(RemoteLoad, 32 * MB, 16)).unwrap().mb_s;
+        let rb = eight.probe(&req(RemoteLoad, 32 * MB, 16)).unwrap().mb_s;
         assert!((ra - rb).abs() / ra < 0.05, "{ra} vs {rb}");
     }
 
     #[test]
     fn read_ahead_ablation_loses_the_edge() {
-        let with = engine(MachineSpec::t3d()).local_load(8 * MB, 1).mb_s;
+        let with = engine(MachineSpec::t3d())
+            .probe(&req(LocalLoad, 8 * MB, 1))
+            .unwrap()
+            .mb_s;
         let without = ablated(MachineSpec::t3d(), Ablation::NoReadAhead)
-            .local_load(8 * MB, 1)
+            .probe(&req(LocalLoad, 8 * MB, 1))
+            .unwrap()
             .mb_s;
         assert!(
             with / without > 1.2,
@@ -873,11 +894,11 @@ mod tests {
     #[test]
     fn coalescing_ablation_hurts_contiguous_deposits() {
         let with = engine(MachineSpec::t3d())
-            .remote_deposit(MB, 1)
+            .probe(&req(RemoteDeposit, MB, 1))
             .unwrap()
             .mb_s;
         let without = ablated(MachineSpec::t3d(), Ablation::NoCoalescing)
-            .remote_deposit(MB, 1)
+            .probe(&req(RemoteDeposit, MB, 1))
             .unwrap()
             .mb_s;
         assert!(
@@ -888,9 +909,12 @@ mod tests {
 
     #[test]
     fn blocking_fetch_is_worse_than_fifo_fetch() {
-        let fifo = engine(MachineSpec::t3d()).remote_fetch(MB, 1).unwrap().mb_s;
+        let fifo = engine(MachineSpec::t3d())
+            .probe(&req(RemoteFetch, MB, 1))
+            .unwrap()
+            .mb_s;
         let blocking = ablated(MachineSpec::t3d(), Ablation::BlockingFetch)
-            .remote_fetch(MB, 1)
+            .probe(&req(RemoteFetch, MB, 1))
             .unwrap()
             .mb_s;
         assert!(fifo > 2.0 * blocking, "FIFO {fifo} vs blocking {blocking}");
@@ -899,11 +923,11 @@ mod tests {
     #[test]
     fn paired_traffic_reduces_deposit_bandwidth() {
         let single = engine(MachineSpec::t3d())
-            .remote_deposit(MB, 1)
+            .probe(&req(RemoteDeposit, MB, 1))
             .unwrap()
             .mb_s;
         let paired = ablated(MachineSpec::t3d(), Ablation::PairedTraffic)
-            .remote_deposit(MB, 1)
+            .probe(&req(RemoteDeposit, MB, 1))
             .unwrap()
             .mb_s;
         assert!(paired < single, "{paired} vs {single}");
@@ -913,9 +937,13 @@ mod tests {
     fn streams_ablation_collapses_contiguous_dram() {
         // Footnote 3: the test vehicle without streaming measured about
         // 120 MB/s.
-        let with = engine(MachineSpec::t3e()).local_load(8 * MB, 1).mb_s;
+        let with = engine(MachineSpec::t3e())
+            .probe(&req(LocalLoad, 8 * MB, 1))
+            .unwrap()
+            .mb_s;
         let without = ablated(MachineSpec::t3e(), Ablation::NoStreams)
-            .local_load(8 * MB, 1)
+            .probe(&req(LocalLoad, 8 * MB, 1))
+            .unwrap()
             .mb_s;
         assert!(
             with / without > 2.0,
@@ -939,13 +967,13 @@ mod tests {
         let mut m = custom();
         assert_eq!(m.id(), MachineId::Custom);
         assert!(m.name().contains("test node") && m.name().contains("100"));
-        let l1 = m.local_load(4 << 10, 1).mb_s;
-        let dram = m.local_load(2 << 20, 1).mb_s;
+        let l1 = m.probe(&req(LocalLoad, 4 << 10, 1)).unwrap().mb_s;
+        let dram = m.probe(&req(LocalLoad, 2 << 20, 1)).unwrap().mb_s;
         assert!(l1 > 2.0 * dram, "L1 {l1} vs DRAM {dram}");
-        assert!(m.local_copy(1 << 20, 1, 1).mb_s > 0.0);
-        assert!(m.local_gather(1 << 20).mb_s > 0.0);
-        assert!(m.remote_fetch(1 << 20, 1).is_none());
-        assert!(m.remote_deposit(1 << 20, 1).is_none());
+        assert!(m.probe(&req(LocalCopy, 1 << 20, 1)).unwrap().mb_s > 0.0);
+        assert!(m.probe(&req(LocalGather, 1 << 20, 0)).unwrap().mb_s > 0.0);
+        assert!(m.probe(&req(RemoteFetch, 1 << 20, 1)).is_none());
+        assert!(m.probe(&req(RemoteDeposit, 1 << 20, 1)).is_none());
     }
 
     #[test]
@@ -969,12 +997,12 @@ mod tests {
         let ma = a
             .spawn_engine()
             .unwrap()
-            .remote_deposit(1 << 20, 8)
+            .probe(&req(RemoteDeposit, 1 << 20, 8))
             .unwrap();
         let mb = b
             .spawn_engine()
             .unwrap()
-            .remote_deposit(1 << 20, 8)
+            .probe(&req(RemoteDeposit, 1 << 20, 8))
             .unwrap();
         assert_eq!(ma.cycles.to_bits(), mb.cycles.to_bits());
     }

@@ -95,17 +95,32 @@ impl<E> WarmState<E> {
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use crate::probe::{ProbeOp, ProbeRequest};
     use crate::spec::MachineSpec;
     use crate::MeasureLimits;
+
+    use crate::probe::ProbeOp::LocalLoad;
+
+    fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+        ProbeRequest::new(op, ws, stride)
+    }
 
     #[test]
     fn spawns_once_and_reuses() {
         let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
         let mut warm = WarmState::new();
         assert!(!warm.is_warm());
-        let a = warm.engine(&spec).unwrap().local_load(16 << 10, 2);
+        let a = warm
+            .engine(&spec)
+            .unwrap()
+            .probe(&req(LocalLoad, 16 << 10, 2))
+            .unwrap();
         assert!(warm.is_warm());
-        let b = warm.engine(&spec).unwrap().local_load(16 << 10, 2);
+        let b = warm
+            .engine(&spec)
+            .unwrap()
+            .probe(&req(LocalLoad, 16 << 10, 2))
+            .unwrap();
         assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
         assert_eq!(warm.spawns(), 1);
     }
@@ -128,12 +143,16 @@ mod tests {
         let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
         let mut warm = WarmState::new();
         for ws in [8 << 10, 64 << 10, 1 << 20] {
-            let w = warm.engine(&spec).unwrap().local_load(ws, 8);
+            let w = warm
+                .engine(&spec)
+                .unwrap()
+                .probe(&req(LocalLoad, ws, 8))
+                .unwrap();
             // The recorder keeps the fresh engine off the memo, so this is
             // a genuine recomputation, not a table hit.
             let mut fresh = spec.spawn_engine().unwrap();
             fresh.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-            let f = fresh.local_load(ws, 8);
+            let f = fresh.probe(&req(LocalLoad, ws, 8)).unwrap();
             assert_eq!(w.cycles.to_bits(), f.cycles.to_bits(), "ws {ws}");
         }
     }

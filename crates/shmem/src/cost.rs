@@ -5,10 +5,10 @@
 //! allow the compiler writer, the compiler or the runtime-system to pick the
 //! least expensive way to move data in the system" (§2.1).
 
-use std::collections::HashMap;
-
-use gasnub_machines::{Machine, MachineId, MachineSpec, MeasureLimits, SpawnEngine};
+use gasnub_machines::ProbeOp::{RemoteDeposit, RemoteFetch};
+use gasnub_machines::{Machine, MachineId, MachineSpec, MeasureLimits, ProbeRequest, SpawnEngine};
 use gasnub_memsim::{SimError, WORD_BYTES};
+use std::collections::HashMap;
 
 /// Which direction a transfer moves relative to the initiating PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,9 +193,11 @@ impl MeasuredCost {
     /// complete).
     pub fn try_new(machine: Box<dyn Machine>) -> Result<Self, SimError> {
         let mut cost = Self::new(machine);
-        if cost.machine.remote_deposit(PROBE_WS_BYTES, 1).is_none()
-            && cost.machine.remote_fetch(PROBE_WS_BYTES, 1).is_none()
-        {
+        let mut probe = |op| {
+            cost.machine
+                .probe(&ProbeRequest::new(op, PROBE_WS_BYTES, 1))
+        };
+        if probe(RemoteDeposit).is_none() && probe(RemoteFetch).is_none() {
             return Err(SimError::unsupported(format!(
                 "{} supports neither remote deposit nor remote fetch",
                 cost.machine.name()
@@ -219,12 +221,13 @@ impl MeasuredCost {
         if let Some(&c) = self.cycles_per_word.get(&key) {
             return c;
         }
+        let mut probe = |op| {
+            let req = ProbeRequest::new(op, PROBE_WS_BYTES, stride);
+            self.machine.probe(&req)
+        };
         let m = match kind {
-            TransferKind::Deposit => self
-                .machine
-                .remote_deposit(PROBE_WS_BYTES, stride)
-                .or_else(|| self.machine.remote_fetch(PROBE_WS_BYTES, stride)),
-            TransferKind::Fetch => self.machine.remote_fetch(PROBE_WS_BYTES, stride),
+            TransferKind::Deposit => probe(RemoteDeposit).or_else(|| probe(RemoteFetch)),
+            TransferKind::Fetch => probe(RemoteFetch),
         };
         // An unsupported transfer direction is priced as infinitely
         // expensive rather than a panic: the strategy chooser then simply

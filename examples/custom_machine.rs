@@ -6,7 +6,9 @@
 //! ```
 
 use gasnub::core::report::{machine_report, ReportOptions};
-use gasnub::machines::{Machine, MachineSpec, MeasureLimits};
+use gasnub::machines::{
+    Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, TransferEngine,
+};
 use gasnub::memsim::cache::{AllocatePolicy, CacheConfig, WritePolicy};
 use gasnub::memsim::hierarchy::LevelConfig;
 use gasnub::memsim::stream::StreamConfig;
@@ -52,15 +54,19 @@ fn main() {
         .expect("paper machines build");
     let ws = 64 << 10;
     println!("64 KB working set (a 4096-point complex FFT row):");
+    let mb_s = |m: &mut TransferEngine, stride| {
+        let req = ProbeRequest::new(ProbeOp::LocalLoad, ws, stride);
+        m.probe(&req).expect("local loads always run").mb_s
+    };
     println!(
         "  real T3D : {:>6.0} MB/s contiguous, {:>6.0} MB/s strided",
-        real.local_load(ws, 1).mb_s,
-        real.local_load(ws, 16).mb_s
+        mb_s(&mut real, 1),
+        mb_s(&mut real, 16)
     );
     println!(
         "  T3D + L2 : {:>6.0} MB/s contiguous, {:>6.0} MB/s strided",
-        what_if.local_load(ws, 1).mb_s,
-        what_if.local_load(ws, 16).mb_s
+        mb_s(&mut what_if, 1),
+        mb_s(&mut what_if, 16)
     );
     println!();
 

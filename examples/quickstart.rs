@@ -7,7 +7,9 @@
 
 use gasnub::core::cost::CostModel;
 use gasnub::core::sweep::Grid;
-use gasnub::machines::{Machine, MachineRegistry, MeasureLimits};
+use gasnub::machines::{
+    Machine, MachineRegistry, MeasureLimits, Measurement, ProbeOp, ProbeRequest,
+};
 
 fn main() {
     let mut machines: Vec<Box<dyn Machine>> = MachineRegistry::builtin()
@@ -21,17 +23,21 @@ fn main() {
     println!("== Local load bandwidth (MB/s), 8 MB working set ==");
     println!("{:<22}{:>12}{:>12}", "machine", "stride 1", "stride 16");
     for m in &mut machines {
-        let contig = m.local_load(8 << 20, 1).mb_s;
-        let strided = m.local_load(8 << 20, 16).mb_s;
+        let mut mb_s = |op, stride| {
+            let req = ProbeRequest::new(op, 8 << 20, stride);
+            m.probe(&req).map(|r| r.mb_s)
+        };
+        let contig = mb_s(ProbeOp::LocalLoad, 1).expect("local loads always run");
+        let strided = mb_s(ProbeOp::LocalLoad, 16).expect("local loads always run");
         println!("{:<22}{:>12.0}{:>12.0}", m.name(), contig, strided);
     }
 
     println!("\n== Remote transfer bandwidth (MB/s), 8 MB working set ==");
     println!("{:<22}{:>14}{:>14}", "machine", "fetch s16", "deposit s16");
     for m in &mut machines {
-        let fetch = m.remote_fetch(8 << 20, 16).map(|r| r.mb_s);
-        let deposit = m.remote_deposit(8 << 20, 16).map(|r| r.mb_s);
-        let fmt = |v: Option<f64>| v.map(|v| format!("{v:.0}")).unwrap_or_else(|| "n/a".into());
+        let fetch = m.probe(&ProbeRequest::new(ProbeOp::RemoteFetch, 8 << 20, 16));
+        let deposit = m.probe(&ProbeRequest::new(ProbeOp::RemoteDeposit, 8 << 20, 16));
+        let fmt = |v: Option<Measurement>| v.map_or("n/a".into(), |v| format!("{:.0}", v.mb_s));
         println!("{:<22}{:>14}{:>14}", m.name(), fmt(fetch), fmt(deposit));
     }
 

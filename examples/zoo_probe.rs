@@ -7,7 +7,7 @@
 //! cargo run --release --example zoo_probe
 //! ```
 
-use gasnub::machines::{Machine, MachineRegistry, MeasureLimits};
+use gasnub::machines::{Machine, MachineRegistry, MeasureLimits, ProbeOp, ProbeRequest};
 
 fn main() {
     // 32 MB: past every cache in the zoo, so the probes measure memory.
@@ -27,9 +27,13 @@ fn main() {
                 continue;
             }
         };
-        let local = m.local_load(ws, 1);
-        let local8 = m.local_load(ws, 8);
-        match (m.remote_fetch(ws, 1), m.remote_fetch(ws, 8)) {
+        let mut probe = |op, stride| m.probe(&ProbeRequest::new(op, ws, stride));
+        let local = probe(ProbeOp::LocalLoad, 1).expect("local loads always run");
+        let local8 = probe(ProbeOp::LocalLoad, 8).expect("local loads always run");
+        match (
+            probe(ProbeOp::RemoteFetch, 1),
+            probe(ProbeOp::RemoteFetch, 8),
+        ) {
             (Some(remote), Some(remote8)) => println!(
                 "{:<10}{:>12.0}{:>12.0}{:>7.2}x  {:>12.0}{:>12.0}",
                 label,

@@ -27,7 +27,7 @@ use gasnub::fft::run_benchmark;
 use gasnub::fft::scalability;
 use gasnub::machines::{
     CounterSet, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec, MeasureLimits,
-    ProbeTier, RingRecorder, SpawnEngine,
+    ProbeOp, ProbeRequest, ProbeTier, RingRecorder, SpawnEngine,
 };
 
 fn usage() -> ! {
@@ -684,8 +684,9 @@ fn machines_cmd(registry: &MachineRegistry, args: &[String]) {
                     continue;
                 }
             };
-            let local = engine.local_load(1 << 20, 1);
-            let remote = engine.remote_fetch(1 << 20, 1);
+            let mut probe = |op| engine.probe(&ProbeRequest::new(op, 1 << 20, 1));
+            let local = probe(ProbeOp::LocalLoad).expect("local loads always run");
+            let remote = probe(ProbeOp::RemoteFetch);
             if !(local.mb_s.is_finite() && local.mb_s > 0.0) {
                 println!(
                     "{:<10} FAIL: local probe returned {} MB/s",

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use gasnub::analytic::TieredSpec;
 use gasnub::core::json::Json;
 use gasnub::core::{Grid, SweepOp};
-use gasnub::machines::{dispatch, MachineSpec, MeasureLimits, ProbePath, ProbeTier, SpawnEngine};
+use gasnub::machines::{Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, SpawnEngine};
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -84,11 +84,11 @@ fn agreement_sweep(name: &str, spec: &MachineSpec) -> Vec<Residual> {
         for &ws in &grid.working_sets {
             for &stride in &grid.strides {
                 let req = op.request(ws, stride);
-                let tiered_cell = dispatch(&mut auto, &req);
+                let tiered_cell = auto.probe(&req);
                 let path = auto.last_path();
-                let sim_cell = dispatch(&mut sim, &req);
+                let sim_cell = sim.probe(&req);
                 let cell = format!("{name} {} ws={ws} stride={stride}", op.label());
-                match (tiered_cell.measurement, sim_cell.measurement) {
+                match (tiered_cell, sim_cell) {
                     (None, None) => {} // unsupported on both sides
                     pair @ ((None, Some(_)) | (Some(_), None)) => {
                         panic!("{cell}: tiers disagree on op support ({pair:?})")

@@ -126,6 +126,29 @@ fn unknown_machine_errors_enumerate_the_registry() {
 }
 
 #[test]
+fn machines_lists_the_whole_zoo_outside_the_repo_root() {
+    // The zoo files are embedded, so no `machines/zoo` directory (and no
+    // `GASNUB_ZOO`) is needed to reach any of them.
+    let dir = std::env::temp_dir().join(format!("gasnub-cli-nozoo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_gasnub"))
+        .arg("machines")
+        .current_dir(&dir)
+        .env_remove("GASNUB_ZOO")
+        .output()
+        .expect("the gasnub binary must spawn");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for name in ["numa2s", "smp16"] {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(name)),
+            "machines must list {name}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn corrupt_checkpoints_exit_2_and_force_restart_recovers() {
     let ckpt = std::env::temp_dir().join(format!("gasnub-cli-corrupt-{}.json", std::process::id()));
     let corrupt_copy = ckpt.with_extension("json.corrupt");

@@ -5,9 +5,15 @@
 use gasnub::core::sweep::Grid;
 use gasnub::core::{sweep_surface, CostModel, SweepOp};
 use gasnub::fft::run_benchmark;
+use gasnub::machines::ProbeOp::{LocalCopy, LocalLoad, RemoteDeposit, RemoteFetch};
 use gasnub::machines::{
-    Machine, MachineId, MachineSpec, MeasureLimits, RingRecorder, TransferEngine,
+    Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, RingRecorder,
+    TransferEngine,
 };
+
+fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+    ProbeRequest::new(op, ws, stride)
+}
 
 /// A fast engine that stays off the process-wide probe memo: the recorder
 /// makes every probe re-simulate, so two engines built from one spec are
@@ -22,10 +28,10 @@ fn fast(spec: MachineSpec) -> TransferEngine {
 fn machine_probes_are_deterministic() {
     let probe = |m: &mut dyn Machine| {
         (
-            m.local_load(8 << 20, 7).cycles,
-            m.local_copy(4 << 20, 16, 1).cycles,
-            m.remote_fetch(4 << 20, 3).map(|r| r.cycles),
-            m.remote_deposit(4 << 20, 3).map(|r| r.cycles),
+            m.probe(&req(LocalLoad, 8 << 20, 7)).unwrap().cycles,
+            m.probe(&req(LocalCopy, 4 << 20, 16)).unwrap().cycles,
+            m.probe(&req(RemoteFetch, 4 << 20, 3)).map(|r| r.cycles),
+            m.probe(&req(RemoteDeposit, 4 << 20, 3)).map(|r| r.cycles),
         )
     };
     let mut a = fast(MachineSpec::t3d());
@@ -45,9 +51,9 @@ fn machine_probes_are_deterministic() {
 fn repeated_probes_on_one_machine_are_stable() {
     // Each probe flushes, so state from a previous probe must not leak.
     let mut m = fast(MachineSpec::t3e());
-    let first = m.local_load(4 << 20, 5).cycles;
-    let _ = m.remote_deposit(4 << 20, 16);
-    let second = m.local_load(4 << 20, 5).cycles;
+    let first = m.probe(&req(LocalLoad, 4 << 20, 5)).unwrap().cycles;
+    let _ = m.probe(&req(RemoteDeposit, 4 << 20, 16));
+    let second = m.probe(&req(LocalLoad, 4 << 20, 5)).unwrap().cycles;
     assert_eq!(first, second);
 }
 

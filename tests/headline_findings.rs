@@ -3,7 +3,14 @@
 
 use gasnub::core::cost::{CostModel, Strategy};
 use gasnub::fft::run_benchmark;
-use gasnub::machines::{Machine, MachineId, MachineSpec, MeasureLimits, TransferEngine};
+use gasnub::machines::ProbeOp::{LocalLoad, RemoteDeposit, RemoteFetch, RemoteLoad};
+use gasnub::machines::{
+    Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, TransferEngine,
+};
+
+fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+    ProbeRequest::new(op, ws, stride)
+}
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -17,16 +24,16 @@ fn fast(spec: MachineSpec) -> TransferEngine {
 #[test]
 fn finding_1_plateaus_track_the_hierarchy() {
     let mut dec = fast(MachineSpec::dec8400());
-    let l1 = dec.local_load(4 * KB, 1).mb_s;
-    let l2 = dec.local_load(64 * KB, 1).mb_s;
-    let l3 = dec.local_load(2 * MB, 1).mb_s;
-    let dram = dec.local_load(32 * MB, 1).mb_s;
+    let l1 = dec.probe(&req(LocalLoad, 4 * KB, 1)).unwrap().mb_s;
+    let l2 = dec.probe(&req(LocalLoad, 64 * KB, 1)).unwrap().mb_s;
+    let l3 = dec.probe(&req(LocalLoad, 2 * MB, 1)).unwrap().mb_s;
+    let dram = dec.probe(&req(LocalLoad, 32 * MB, 1)).unwrap().mb_s;
     assert!(
         l1 > l2 && l2 > l3 && l3 > dram,
         "{l1} > {l2} > {l3} > {dram} expected"
     );
 
-    let dram_strided = dec.local_load(32 * MB, 16).mb_s;
+    let dram_strided = dec.probe(&req(LocalLoad, 32 * MB, 16)).unwrap().mb_s;
     assert!(
         dram / dram_strided > 4.0,
         "strided collapse: {dram} vs {dram_strided}"
@@ -34,8 +41,8 @@ fn finding_1_plateaus_track_the_hierarchy() {
 
     // The T3D has only two tiers.
     let mut t3d = fast(MachineSpec::t3d());
-    let t3d_l1 = t3d.local_load(4 * KB, 1).mb_s;
-    let t3d_dram = t3d.local_load(8 * MB, 1).mb_s;
+    let t3d_l1 = t3d.probe(&req(LocalLoad, 4 * KB, 1)).unwrap().mb_s;
+    let t3d_dram = t3d.probe(&req(LocalLoad, 8 * MB, 1)).unwrap().mb_s;
     assert!(t3d_l1 > 2.0 * t3d_dram);
 }
 
@@ -44,8 +51,8 @@ fn finding_1_plateaus_track_the_hierarchy() {
 #[test]
 fn finding_2_remote_is_an_order_of_magnitude_below_local() {
     let mut dec = fast(MachineSpec::dec8400());
-    let local_peak = dec.local_load(4 * KB, 1).mb_s;
-    let remote_peak = dec.remote_load(32 * MB, 1).unwrap().mb_s;
+    let local_peak = dec.probe(&req(LocalLoad, 4 * KB, 1)).unwrap().mb_s;
+    let remote_peak = dec.probe(&req(RemoteLoad, 32 * MB, 1)).unwrap().mb_s;
     let ratio = local_peak / remote_peak;
     assert!(
         ratio > 5.0 && ratio < 12.0,
@@ -60,15 +67,15 @@ fn finding_2_remote_is_an_order_of_magnitude_below_local() {
 fn finding_3_t3d_streams_beat_8400_caches_for_strided_transfers() {
     let mut t3d = fast(MachineSpec::t3d());
     let mut dec = fast(MachineSpec::dec8400());
-    let t3d_strided = t3d.remote_deposit(8 * MB, 16).unwrap().mb_s;
-    let dec_strided = dec.remote_fetch(32 * MB, 16).unwrap().mb_s;
+    let t3d_strided = t3d.probe(&req(RemoteDeposit, 8 * MB, 16)).unwrap().mb_s;
+    let dec_strided = dec.probe(&req(RemoteFetch, 32 * MB, 16)).unwrap().mb_s;
     assert!(
         t3d_strided > 2.0 * dec_strided,
         "paper: 55 vs 22 MB/s; got {t3d_strided} vs {dec_strided}"
     );
 
-    let deposit = t3d.remote_deposit(8 * MB, 1).unwrap().mb_s;
-    let fetch = t3d.remote_fetch(8 * MB, 1).unwrap().mb_s;
+    let deposit = t3d.probe(&req(RemoteDeposit, 8 * MB, 1)).unwrap().mb_s;
+    let fetch = t3d.probe(&req(RemoteFetch, 8 * MB, 1)).unwrap().mb_s;
     assert!(
         deposit > 3.0 * fetch,
         "deposit {deposit} must dominate naive fetch {fetch}"
@@ -81,17 +88,17 @@ fn finding_3_t3d_streams_beat_8400_caches_for_strided_transfers() {
 #[test]
 fn finding_4_t3e_eregisters() {
     let mut t3e = fast(MachineSpec::t3e());
-    let put = t3e.remote_deposit(8 * MB, 1).unwrap().mb_s;
-    let get = t3e.remote_fetch(8 * MB, 1).unwrap().mb_s;
+    let put = t3e.probe(&req(RemoteDeposit, 8 * MB, 1)).unwrap().mb_s;
+    let get = t3e.probe(&req(RemoteFetch, 8 * MB, 1)).unwrap().mb_s;
     assert!((put - get).abs() / put < 0.1, "symmetry: {put} vs {get}");
 
     let mut t3d = fast(MachineSpec::t3d());
     let mut dec = fast(MachineSpec::dec8400());
-    assert!(put / t3d.remote_deposit(8 * MB, 1).unwrap().mb_s > 2.4);
-    assert!(put / dec.remote_load(32 * MB, 1).unwrap().mb_s > 1.7);
+    assert!(put / t3d.probe(&req(RemoteDeposit, 8 * MB, 1)).unwrap().mb_s > 2.4);
+    assert!(put / dec.probe(&req(RemoteLoad, 32 * MB, 1)).unwrap().mb_s > 1.7);
 
-    let even = t3e.remote_deposit(8 * MB, 16).unwrap().mb_s;
-    let odd = t3e.remote_deposit(8 * MB, 15).unwrap().mb_s;
+    let even = t3e.probe(&req(RemoteDeposit, 8 * MB, 16)).unwrap().mb_s;
+    let odd = t3e.probe(&req(RemoteDeposit, 8 * MB, 15)).unwrap().mb_s;
     assert!(
         odd > 1.5 * even,
         "even-stride ripples: odd {odd} vs even {even}"
@@ -104,16 +111,16 @@ fn finding_4_t3e_eregisters() {
 fn finding_5_strided_dram_stuck_across_generations() {
     let mut t3d = fast(MachineSpec::t3d());
     let mut t3e = fast(MachineSpec::t3e());
-    let t3d_strided = t3d.local_load(8 * MB, 16).mb_s;
-    let t3e_strided = t3e.local_load(8 * MB, 16).mb_s;
+    let t3d_strided = t3d.probe(&req(LocalLoad, 8 * MB, 16)).unwrap().mb_s;
+    let t3e_strided = t3e.probe(&req(LocalLoad, 8 * MB, 16)).unwrap().mb_s;
     let stuck_ratio = t3e_strided / t3d_strided;
     assert!(
         stuck_ratio > 0.7 && stuck_ratio < 1.4,
         "stuck: {t3d_strided} -> {t3e_strided}"
     );
 
-    let t3d_contig = t3d.local_load(8 * MB, 1).mb_s;
-    let t3e_contig = t3e.local_load(8 * MB, 1).mb_s;
+    let t3d_contig = t3d.probe(&req(LocalLoad, 8 * MB, 1)).unwrap().mb_s;
+    let t3e_contig = t3e.probe(&req(LocalLoad, 8 * MB, 1)).unwrap().mb_s;
     assert!(
         t3e_contig / t3d_contig > 1.8,
         "contiguous doubled: {t3d_contig} -> {t3e_contig}"
@@ -165,7 +172,7 @@ fn finding_mechanisms_show_in_the_counters() {
 
     let mut dec = fast(MachineSpec::dec8400());
     dec.set_recorder(Box::new(RingRecorder::new(4)));
-    let pull = dec.remote_load(4 * MB, 1).unwrap();
+    let pull = dec.probe(&req(RemoteLoad, 4 * MB, 1)).unwrap();
     let counters = dec.take_counters().expect("the pull must harvest counters");
     let lines = pull.bytes / 64;
     assert!(
@@ -176,7 +183,7 @@ fn finding_mechanisms_show_in_the_counters() {
 
     // A cache-resident set stays dirty in the producer's cache, so the pull
     // is supplied cache-to-cache, downgrading Modified lines to Shared.
-    let pull = dec.remote_load(32 * KB, 1).unwrap();
+    let pull = dec.probe(&req(RemoteLoad, 32 * KB, 1)).unwrap();
     let counters = dec.take_counters().expect("the pull must harvest counters");
     assert!(
         counters.get("bus_transactions") >= pull.bytes / 64,
@@ -193,7 +200,7 @@ fn finding_mechanisms_show_in_the_counters() {
 
     let mut t3d = fast(MachineSpec::t3d());
     t3d.set_recorder(Box::new(RingRecorder::new(4)));
-    let fetch = t3d.remote_fetch(4 * MB, 16).unwrap();
+    let fetch = t3d.probe(&req(RemoteFetch, 4 * MB, 16)).unwrap();
     let counters = t3d
         .take_counters()
         .expect("the fetch must harvest counters");
@@ -203,7 +210,7 @@ fn finding_mechanisms_show_in_the_counters() {
         "a strided fetch pulls every 64-bit word through the NI individually"
     );
 
-    let deposit = t3d.remote_deposit(4 * MB, 1).unwrap();
+    let deposit = t3d.probe(&req(RemoteDeposit, 4 * MB, 1)).unwrap();
     let counters = t3d
         .take_counters()
         .expect("the deposit must harvest counters");

@@ -1,8 +1,17 @@
 //! Property-based integration tests: invariants that must hold for *any*
 //! stride and working set, not just the calibrated grid points.
 
-use gasnub::machines::{Machine, MachineSpec, MeasureLimits, TransferEngine};
+use gasnub::machines::ProbeOp::{
+    LocalCopy, LocalLoad, LocalStore, RemoteDeposit, RemoteFetch, RemoteLoad,
+};
+use gasnub::machines::{
+    Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, TransferEngine,
+};
 use gasnub_memsim::rng::run_cases;
+
+fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+    ProbeRequest::new(op, ws, stride)
+}
 
 fn fast(spec: MachineSpec) -> TransferEngine {
     spec.with_limits(MeasureLimits {
@@ -33,7 +42,7 @@ fn local_load_bandwidth_is_bounded() {
         let ws_kb = rng.gen_range(1, 4096);
         let stride = rng.gen_range(1, 256);
         let mut m = fast_t3d();
-        let bw = m.local_load(ws_kb * 1024, stride).mb_s;
+        let bw = m.probe(&req(LocalLoad, ws_kb * 1024, stride)).unwrap().mb_s;
         assert!(bw > 0.0, "bandwidth must be positive");
         let peak = 8.0 * m.clock_mhz(); // one 64-bit word per cycle
         assert!(bw <= peak * 1.01, "bw {bw} exceeds the issue peak {peak}");
@@ -49,8 +58,8 @@ fn t3d_contiguous_dominates_strided() {
         let ws_mb = rng.gen_range(1, 8);
         let stride = rng.gen_range(2, 128);
         let mut m = fast_t3d();
-        let contig = m.local_load(ws_mb << 20, 1).mb_s;
-        let strided = m.local_load(ws_mb << 20, stride).mb_s;
+        let contig = m.probe(&req(LocalLoad, ws_mb << 20, 1)).unwrap().mb_s;
+        let strided = m.probe(&req(LocalLoad, ws_mb << 20, stride)).unwrap().mb_s;
         assert!(
             contig >= strided * 0.95,
             "contig {contig} vs stride-{stride} {strided}"
@@ -66,8 +75,8 @@ fn copy_never_beats_loads() {
         let stride = rng.gen_range(1, 64);
         let mut m = fast_t3e();
         let ws = 4 << 20;
-        let load = m.local_load(ws, stride).mb_s;
-        let copy = m.local_copy(ws, stride, 1).mb_s;
+        let load = m.probe(&req(LocalLoad, ws, stride)).unwrap().mb_s;
+        let copy = m.probe(&req(LocalCopy, ws, stride)).unwrap().mb_s;
         assert!(
             copy <= load * 1.05,
             "copy {copy} vs load {load} at stride {stride}"
@@ -83,8 +92,8 @@ fn remote_peak_is_at_unit_stride() {
         let stride = rng.gen_range(2, 128);
         let mut m = fast_t3e();
         let ws = 4 << 20;
-        let peak = m.remote_deposit(ws, 1).unwrap().mb_s;
-        let strided = m.remote_deposit(ws, stride).unwrap().mb_s;
+        let peak = m.probe(&req(RemoteDeposit, ws, 1)).unwrap().mb_s;
+        let strided = m.probe(&req(RemoteDeposit, ws, stride)).unwrap().mb_s;
         assert!(
             strided <= peak * 1.05,
             "stride {stride}: {strided} vs peak {peak}"
@@ -99,7 +108,7 @@ fn dec8400_pull_below_bus_ceiling() {
         let stride = rng.gen_range(1, 64);
         let ws_mb = rng.gen_range(1, 16);
         let mut m = fast_dec();
-        let bw = m.remote_load(ws_mb << 20, stride).unwrap().mb_s;
+        let bw = m.probe(&req(RemoteLoad, ws_mb << 20, stride)).unwrap().mb_s;
         assert!(bw > 0.0);
         assert!(
             bw < 1600.0,
@@ -121,10 +130,10 @@ fn recorders_never_change_measurements() {
         let machine_pick = rng.gen_range(0, 3);
         let op_pick = rng.gen_range(0, 4);
         let probe = |m: &mut dyn Machine| match op_pick {
-            0 => Some(m.local_load(ws_kb * 1024, stride)),
-            1 => Some(m.local_copy(ws_kb * 1024, stride, 1)),
-            2 => m.remote_fetch(ws_kb * 1024, stride),
-            _ => m.remote_deposit(ws_kb * 1024, stride),
+            0 => Some(m.probe(&req(LocalLoad, ws_kb * 1024, stride)).unwrap()),
+            1 => Some(m.probe(&req(LocalCopy, ws_kb * 1024, stride)).unwrap()),
+            2 => m.probe(&req(RemoteFetch, ws_kb * 1024, stride)),
+            _ => m.probe(&req(RemoteDeposit, ws_kb * 1024, stride)),
         };
         let mut quiet: Box<dyn Machine> = match machine_pick {
             0 => Box::new(fast_t3d()),
@@ -181,12 +190,12 @@ fn warm_engine_chains_match_fresh_engines() {
                 let stride = rng.gen_range(1, 128);
                 let op = rng.gen_range(0, 6);
                 let probe = |m: &mut TransferEngine| match op {
-                    0 => Some(m.local_load(ws, stride)),
-                    1 => Some(m.local_store(ws, stride)),
-                    2 => Some(m.local_copy(ws, stride, 1)),
-                    3 => m.remote_load(ws, stride),
-                    4 => m.remote_fetch(ws, stride),
-                    _ => m.remote_deposit(ws, stride),
+                    0 => Some(m.probe(&req(LocalLoad, ws, stride)).unwrap()),
+                    1 => Some(m.probe(&req(LocalStore, ws, stride)).unwrap()),
+                    2 => Some(m.probe(&req(LocalCopy, ws, stride)).unwrap()),
+                    3 => m.probe(&req(RemoteLoad, ws, stride)),
+                    4 => m.probe(&req(RemoteFetch, ws, stride)),
+                    _ => m.probe(&req(RemoteDeposit, ws, stride)),
                 };
                 let engine = warm.engine(spec).unwrap();
                 engine.set_limits(limits);
@@ -354,8 +363,8 @@ fn cycles_grow_with_working_set() {
     run_cases(0x9120, 24, |rng| {
         let stride = rng.gen_range(1, 32);
         let mut m = fast_t3d();
-        let small = m.local_load(64 << 10, stride).cycles;
-        let large = m.local_load(4 << 20, stride).cycles;
+        let small = m.probe(&req(LocalLoad, 64 << 10, stride)).unwrap().cycles;
+        let large = m.probe(&req(LocalLoad, 4 << 20, stride)).unwrap().cycles;
         // Both runs measure the same capped word count; the larger set must
         // not be meaningfully cheaper (small pattern-dependent wiggle from
         // DRAM row reuse is tolerated).

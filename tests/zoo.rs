@@ -9,7 +9,12 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use gasnub::machines::{Machine, MachineSpec, MeasureLimits};
+use gasnub::machines::ProbeOp::{LocalLoad, RemoteFetch};
+use gasnub::machines::{Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest};
+
+fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
+    ProbeRequest::new(op, ws, stride)
+}
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -235,9 +240,9 @@ fn numa_machine_reproduces_local_remote_asymmetry() {
 
     // 32 MB: far past the 8 MB L3, so both probes measure memory.
     let ws = 32 << 20;
-    let local = machine.local_load(ws, 1);
+    let local = machine.probe(&req(LocalLoad, ws, 1)).unwrap();
     let remote = machine
-        .remote_fetch(ws, 1)
+        .probe(&req(RemoteFetch, ws, 1))
         .expect("a NUMA machine has a remote path");
     let ratio = local.mb_s / remote.mb_s;
     assert!(
@@ -255,7 +260,8 @@ fn numa_machine_reproduces_local_remote_asymmetry() {
         .with_limits(MeasureLimits::new())
         .build()
         .unwrap();
-    let t3d_ratio = t3d.local_load(ws, 1).mb_s / t3d.remote_fetch(ws, 1).unwrap().mb_s;
+    let t3d_ratio = t3d.probe(&req(LocalLoad, ws, 1)).unwrap().mb_s
+        / t3d.probe(&req(RemoteFetch, ws, 1)).unwrap().mb_s;
     assert!(
         t3d_ratio > ratio * 2.0,
         "the NUMA node must be far more uniform than the T3D \
