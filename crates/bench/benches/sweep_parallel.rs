@@ -1,7 +1,7 @@
 //! Bench comparing sequential and parallel execution of a full paper-grid
 //! sweep. Plain `std::time::Instant` timing — no external harness.
 //!
-//! Both runs spawn a fresh engine per grid cell from the same
+//! Both runs spawn one warm engine per same-stride run from the same
 //! `MachineSpec`, so the surfaces are bit-identical and the only variable
 //! is how many workers the cells are spread across. The speedup scales
 //! with the host's cores; on a single-core host it is ~1x by construction.

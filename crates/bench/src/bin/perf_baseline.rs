@@ -155,15 +155,20 @@ fn write_micros(payload: &str, fsync_every: u64) -> f64 {
     micros
 }
 
-/// A real completed-sweep checkpoint payload for the write benchmark.
+/// A real completed-sweep checkpoint payload for the write benchmark. Its
+/// cells are synthetic, so the T3D engines the runner spawns go unused.
 fn reference_payload(grid: &Grid) -> String {
     let path = scratch("payload");
     let _ = std::fs::remove_file(&path);
     ResilientSweep::new(&path)
         .with_fsync(false)
-        .run("perf baseline", grid, |ws, s| {
-            Some((ws as f64).sqrt() / s as f64)
-        })
+        .run_parallel(
+            "perf baseline",
+            grid,
+            1,
+            &MachineSpec::t3d(),
+            |_: &mut TransferEngine, ws, s| Some((ws as f64).sqrt() / s as f64),
+        )
         .expect("the payload sweep must succeed");
     let payload = storage::read_verified(&path)
         .expect("the payload checkpoint must verify")

@@ -8,12 +8,11 @@
 //! stride." A third **Store Constant** benchmark evaluates store
 //! performance.
 
-use gasnub_machines::{Machine, ProbeOp, ProbeRequest, ProbeTier, SpawnEngine, WarmState};
+use gasnub_machines::{CancelToken, Machine, ProbeOp, ProbeRequest, ProbeTier, SpawnEngine};
 use gasnub_memsim::SimError;
 
-use crate::pool::run_indexed;
 use crate::surface::Surface;
-use crate::sweep::Grid;
+use crate::sweep::{run_cells, Grid};
 
 /// One sweepable benchmark, as a value: the operation the CLI names on the
 /// command line and the parallel sweep dispatches per cell.
@@ -153,14 +152,11 @@ impl SweepOp {
     }
 }
 
-/// Sweeps `op` over `grid` on `threads` workers using the warm execution
-/// path: the grid is partitioned into *runs* (chains of working sets at
-/// fixed stride, [`Grid::runs_of`]), each worker claims whole runs and
-/// reuses one spawned engine ([`WarmState`]) across a run's cells. Results
-/// are scattered back into grid order, and every probe starts from flushed
-/// state (≡ just-constructed state), so the surface is bit-identical to a
-/// sequential fresh-engine-per-cell sweep of the same spec for any thread
-/// count.
+/// Sweeps `op` over `grid` on `threads` workers through the run scheduler
+/// (`sweep::run_cells`): workers claim whole same-stride runs and
+/// reuse one warm engine per run. Every probe starts from flushed
+/// (≡ just-constructed) state, so the surface is bit-identical to
+/// [`sweep_surface`] of the same spec for any thread count.
 ///
 /// Returns `Ok(None)` when the machine does not support `op`.
 ///
@@ -175,23 +171,15 @@ pub fn sweep_surface_par<S: SpawnEngine>(
 ) -> Result<Option<Surface>, SimError> {
     let title = op.title_for(&spawner.spawn_engine()?.name());
     let cells: Vec<(u64, u64)> = (0..grid.cells()).map(|i| grid.cell(i)).collect();
-    let runs = Grid::runs_of(&cells);
-    let per_run = run_indexed(threads, runs.len(), |r| {
-        let mut warm = WarmState::new();
-        let mut column = Vec::with_capacity(runs[r].len());
-        for &(ws, stride) in &runs[r] {
-            column.push(op.measure(warm.engine(spawner)?, ws, stride));
-        }
-        Ok::<Vec<Option<f64>>, SimError>(column)
+    let slots = run_cells(threads, &cells, &CancelToken::new(), |warm, ws, stride| {
+        Some(warm.engine(spawner).map(|e| op.measure(e, ws, stride)))
     });
-    // Run r is stride column r; its k-th cell sits in working-set row k.
-    let mut values = vec![vec![0.0; grid.strides.len()]; grid.working_sets.len()];
-    for (r, column) in per_run.into_iter().enumerate() {
-        for (k, cell) in column?.into_iter().enumerate() {
-            match cell {
-                Some(mb_s) => values[k][r] = mb_s,
-                None => return Ok(None),
-            }
+    // Cells come back in grid order: working sets outer, strides inner.
+    let mut values = vec![Vec::with_capacity(grid.strides.len()); grid.working_sets.len()];
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot.expect("a live claim reaches every cell")? {
+            Some(mb_s) => values[i / grid.strides.len()].push(mb_s),
+            None => return Ok(None),
         }
     }
     Ok(Some(Surface::new(

@@ -14,13 +14,12 @@
 //! CSV with one column per counter, annotating a figure's cells with the
 //! mechanism behind them.
 
-use gasnub_machines::{CounterSet, Machine, RingRecorder, SpawnEngine};
+use gasnub_machines::{CancelToken, CounterSet, Machine, RingRecorder, SpawnEngine};
 use gasnub_memsim::SimError;
 
 use crate::bench::SweepOp;
 use crate::json::Json;
-use crate::pool::run_indexed;
-use crate::sweep::Grid;
+use crate::sweep::{run_cells, Grid};
 
 /// Events buffered per probe. Counter collection drains the recorder after
 /// every cell, so a small ring suffices.
@@ -222,10 +221,12 @@ impl CounterReport {
     }
 }
 
-/// Sweeps `op` over `grid` with counters on: one fresh engine per cell,
-/// each with its own [`RingRecorder`], cells spread across `threads`
-/// workers and gathered in grid order — so the report (and its rendered
-/// bytes) is identical however many threads run it.
+/// Sweeps `op` over `grid` with counters on, through the run scheduler
+/// (`sweep::run_cells`): each run's warm engine gets a fresh
+/// [`RingRecorder`] before every cell, and cells are gathered in grid
+/// order — so the report (and its rendered bytes) is identical however
+/// many threads run it. A flushed engine is identical to a new one, so the
+/// counters are those of a fresh engine per cell.
 ///
 /// Returns `Ok(None)` when the machine does not support `op` (mirroring
 /// [`crate::bench::sweep_surface_par`]).
@@ -242,20 +243,17 @@ pub fn collect_counters<S: SpawnEngine>(
     let probe = spawner.spawn_engine()?;
     let (machine, title) = (probe.label(), op.title_for(&probe.name()));
     drop(probe);
-    let cells = run_indexed(threads, grid.cells(), |idx| {
-        let (ws, stride) = grid.cell(idx);
-        let mut engine = spawner.spawn_engine()?;
-        engine.set_recorder(Box::new(RingRecorder::new(RING_CAPACITY)));
-        let mb_s = match op.measure(&mut engine, ws, stride) {
-            Some(mb_s) => mb_s,
-            None => return Ok(None),
-        };
-        let counters = engine.take_counters().unwrap_or_default();
-        Ok::<Option<CellReport>, SimError>(Some(CellReport {
-            ws_bytes: ws,
-            stride,
-            mb_s_bits: mb_s.to_bits(),
-            counters,
+    let cells: Vec<(u64, u64)> = (0..grid.cells()).map(|i| grid.cell(i)).collect();
+    let slots = run_cells(threads, &cells, &CancelToken::new(), |warm, ws, stride| {
+        Some(warm.engine(spawner).map(|engine| {
+            engine.set_recorder(Box::new(RingRecorder::new(RING_CAPACITY)));
+            let mb_s = op.measure(engine, ws, stride)?;
+            Some(CellReport {
+                ws_bytes: ws,
+                stride,
+                mb_s_bits: mb_s.to_bits(),
+                counters: engine.take_counters().unwrap_or_default(),
+            })
         }))
     });
     let mut report = CounterReport {
@@ -265,8 +263,8 @@ pub fn collect_counters<S: SpawnEngine>(
         cells: Vec::with_capacity(grid.cells()),
         robustness: CounterSet::new(),
     };
-    for cell in cells {
-        match cell? {
+    for slot in slots {
+        match slot.expect("a live claim reaches every cell")? {
             Some(cell) => report.cells.push(cell),
             None => return Ok(None),
         }

@@ -26,12 +26,14 @@
 //!   [`gasnub_machines::Machine`];
 //! * [`sweep`] — the stride x working-set sweep driver with the paper's
 //!   grid axes;
-//! * [`mod@pool`] — a dependency-free work-distributing thread pool;
-//!   [`bench::sweep_surface_par`] and
-//!   [`resilient::ResilientSweep::run_parallel`] use it to spread grid
-//!   cells across workers, one fresh engine (spawned from a
-//!   [`gasnub_machines::MachineSpec`]) per cell, with results gathered in
-//!   grid order so parallel sweeps are bit-identical to sequential ones;
+//! * [`mod@pool`] — a dependency-free work-distributing thread pool; the
+//!   one run scheduler behind [`bench::sweep_surface_par`],
+//!   [`counters::collect_counters`] and
+//!   [`resilient::ResilientSweep::run_parallel`] uses it to spread
+//!   same-stride runs of grid cells across workers, one warm engine
+//!   (spawned from a [`gasnub_machines::MachineSpec`]) per run, with
+//!   results gathered in grid order so parallel sweeps are bit-identical
+//!   to sequential ones;
 //! * [`surface`] — the 2D bandwidth surface (figs 1-8) with CSV and
 //!   terminal rendering;
 //! * [`counters`] — per-cell counter reports (cache misses, bus

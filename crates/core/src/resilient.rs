@@ -22,15 +22,16 @@
 //!   [`CheckpointError`] — the `--force-restart` escape hatch
 //!   ([`ResilientSweep::with_force_restart`]) moves it aside to
 //!   `<path>.corrupt` and starts fresh, preserving the evidence.
-//! * **Retry with seeded backoff** — a panicking cell is re-attempted up to
-//!   [`ResilientSweep::with_retries`] times with exponential, seeded-jitter
-//!   backoff; a cell that exhausts its budget is **quarantined**: recorded
-//!   as a [`FailureKind::Panic`] hole (its cell renders as `NaN`), skipped
-//!   on resume, never aborting the run.
+//! * **Retry and quarantine** — a panicking cell is re-attempted at once,
+//!   up to [`ResilientSweep::with_retries`] times; a cell that exhausts its
+//!   retries is **quarantined**: recorded as a [`FailureKind::Panic`] hole
+//!   (its cell renders as `NaN`), skipped on resume, never aborting the run.
 //! * **Per-cell wall-clock budgets** — [`ResilientSweep::with_cell_timeout`]
 //!   derives a [`CancelToken`] per attempt and installs it on the cell's
 //!   engine; instrumented engines bail out of their probe loops
 //!   cooperatively and the cell is recorded as [`FailureKind::Timeout`].
+//!   The run-wide budget ([`ResilientSweep::with_budget`]) cancels in-flight
+//!   cells the same way, but those stay pending and are measured on resume.
 //! * **Robustness counters** — retries, quarantines, timeouts and
 //!   force-restart recoveries accumulate into the
 //!   [`gasnub_trace::CounterSet`] on [`SweepOutcome::robustness`], under
@@ -40,20 +41,19 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gasnub_machines::{CancelToken, CellCancelled, Machine, SpawnEngine, WarmState};
-use gasnub_memsim::rng::Rng;
 use gasnub_memsim::SimError;
 use gasnub_trace::{robustness, CounterSet};
 
 use crate::json::Json;
 use crate::storage::{self, CheckpointError, WriteFaults};
 use crate::surface::Surface;
-use crate::sweep::Grid;
+use crate::sweep::{run_cells, Grid};
 
 /// The checkpoint schema version this binary reads and writes.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -183,8 +183,6 @@ pub struct ResilientSweep {
     budget: Option<Duration>,
     max_cells: Option<usize>,
     retries: u32,
-    retry_backoff: Duration,
-    retry_seed: u64,
     cell_timeout: Option<Duration>,
     force_restart: bool,
     fsync: bool,
@@ -215,16 +213,6 @@ enum Verdict {
     Failed(FailureKind, String),
 }
 
-/// What a pool job — one whole run of same-stride cells — reports back.
-enum RunDone {
-    /// The run finished (possibly early): `recorded` cells got a verdict
-    /// and a checkpoint write, `skipped` cells were left unattempted
-    /// because the claim token was cancelled mid-run.
-    Progress { recorded: usize, skipped: usize },
-    /// A fatal error was raised; the run is over.
-    Fatal,
-}
-
 impl ResilientSweep {
     /// Creates a runner persisting its checkpoint at `checkpoint`.
     pub fn new(checkpoint: impl Into<PathBuf>) -> Self {
@@ -233,8 +221,6 @@ impl ResilientSweep {
             budget: None,
             max_cells: None,
             retries: 0,
-            retry_backoff: Duration::ZERO,
-            retry_seed: 0x5EED,
             cell_timeout: None,
             force_restart: false,
             fsync: true,
@@ -245,9 +231,9 @@ impl ResilientSweep {
     }
 
     /// Limits the wall-clock time spent measuring. Expiry stops workers
-    /// from *claiming* new cells; with a cell timeout configured it also
-    /// caps each in-flight cell's token, so instrumented engines wind down
-    /// cooperatively.
+    /// from claiming new cells and cancels the cells in flight through
+    /// their engines' tokens; a cell stopped that way is not recorded, so
+    /// it stays pending and is measured on resume.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
         self
@@ -266,22 +252,6 @@ impl ResilientSweep {
     /// budget).
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Base delay of the exponential retry backoff (attempt `n` sleeps
-    /// roughly `base * 2^(n-1)`, jittered). Zero (the default) retries
-    /// immediately — right for deterministic simulations, where a retry
-    /// only helps if the probe is flaky by construction.
-    pub fn with_retry_backoff(mut self, base: Duration) -> Self {
-        self.retry_backoff = base;
-        self
-    }
-
-    /// Seeds the backoff jitter, so a replayed run sleeps the same
-    /// schedule.
-    pub fn with_retry_seed(mut self, seed: u64) -> Self {
-        self.retry_seed = seed;
         self
     }
 
@@ -347,11 +317,6 @@ impl ResilientSweep {
         self
     }
 
-    /// The checkpoint path.
-    pub fn checkpoint_path(&self) -> &Path {
-        &self.checkpoint
-    }
-
     /// Removes the checkpoint, so the next run starts from scratch.
     ///
     /// # Errors
@@ -368,124 +333,35 @@ impl ResilientSweep {
         }
     }
 
-    /// Runs (or resumes) the sweep of `grid` with `probe`.
+    /// Runs (or resumes) the sweep of `grid` with `probe` across `threads`
+    /// workers — the one checkpointed sweep loop. Cells go through the run
+    /// scheduler (`sweep::run_cells`): workers claim whole
+    /// same-stride runs ([`Grid::runs_of`]) and walk each on one warm
+    /// engine ([`gasnub_machines::WarmState`]), re-spawned only after an
+    /// unwound probe. `probe` returns the cell's bandwidth in MB/s, or
+    /// `None` when the operation is unsupported on this machine (recorded
+    /// as failed). The checkpoint is rewritten after every attempted cell.
     ///
-    /// `probe` returns the cell's bandwidth in MB/s, or `None` when the
-    /// operation is unsupported on this machine (recorded as failed).
-    /// The checkpoint is rewritten after every attempted cell. Without an
-    /// engine to install a token on, the cell timeout is only checked
-    /// before each attempt — use [`ResilientSweep::run_parallel`] for
-    /// cooperative mid-probe cancellation.
+    /// Because every probe starts from the flushed (≡ just-constructed)
+    /// engine state and each probe is deterministic, the outcome — surface
+    /// values, checkpoint bytes, failed cells, robustness counters — is
+    /// bit-identical for any thread count and completion order: the
+    /// checkpoint keeps cells in a `BTreeMap` and the surface is assembled
+    /// in grid order after the pool drains.
+    ///
+    /// The per-cell timeout is installed on each engine as a
+    /// [`CancelToken`] derived from the run-wide one, so instrumented
+    /// probes stop cooperatively mid-loop. A cell stopped by its own
+    /// deadline records as a [`FailureKind::Timeout`] hole; a cell stopped
+    /// by the run-wide budget or a fatal error stays pending.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Checkpoint`] when an existing checkpoint fails
     /// verification (corrupt bytes, wrong schema version, foreign
-    /// title/grid) or cannot be read or written.
-    pub fn run(
-        &self,
-        title: &str,
-        grid: &Grid,
-        mut probe: impl FnMut(u64, u64) -> Option<f64>,
-    ) -> Result<SweepOutcome, SweepError> {
-        let (mut state, mut counters) = self.load_state(title, grid)?;
-        let resumed = state.done.len();
-        let started = Instant::now();
-        let mut measured = 0usize;
-        let mut pending = 0usize;
-
-        for &ws in &grid.working_sets {
-            for &stride in &grid.strides {
-                let key = (ws, stride);
-                if state.done.contains_key(&key) || state.failed.contains_key(&key) {
-                    continue;
-                }
-                let over_budget = self.budget.is_some_and(|b| started.elapsed() >= b);
-                let over_cells = self.max_cells.is_some_and(|m| measured >= m);
-                if over_budget || over_cells {
-                    pending += 1;
-                    continue;
-                }
-                let mut rng = self.cell_rng(ws, stride);
-                let mut attempts = 0u32;
-                let verdict = loop {
-                    attempts += 1;
-                    if self
-                        .cell_timeout
-                        .is_some_and(|t| CancelToken::with_deadline(t).is_cancelled())
-                    {
-                        break Verdict::Failed(FailureKind::Timeout, CELL_TIMEOUT.to_string());
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| probe(ws, stride))) {
-                        Ok(Some(mb_s)) => break Verdict::Done(mb_s),
-                        Ok(None) => {
-                            break Verdict::Failed(
-                                FailureKind::Unsupported,
-                                UNSUPPORTED.to_string(),
-                            )
-                        }
-                        Err(panic) => {
-                            if panic.downcast_ref::<CellCancelled>().is_some() {
-                                break Verdict::Failed(
-                                    FailureKind::Timeout,
-                                    CELL_TIMEOUT.to_string(),
-                                );
-                            }
-                            if attempts > self.retries {
-                                break Verdict::Failed(
-                                    FailureKind::Panic,
-                                    panic_text(panic.as_ref()),
-                                );
-                            }
-                            self.backoff(&mut rng, attempts);
-                        }
-                    }
-                };
-                record_verdict(&mut state, &mut counters, key, attempts, verdict);
-                measured += 1;
-                let durable = self.durable_save(measured as u64);
-                if self.save_state(title, grid, &state, durable)? {
-                    counters.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
-                }
-            }
-        }
-        if self.final_flush(title, grid, &state, measured as u64)? {
-            counters.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
-        }
-
-        Ok(self.outcome(title, grid, state, measured, resumed, pending, counters))
-    }
-
-    /// Runs (or resumes) the sweep of `grid` across `threads` workers,
-    /// scheduling whole **runs** — same-stride chains of cells
-    /// ([`Grid::runs_of`]) — as the unit of work. Each worker holds one
-    /// warm engine ([`gasnub_machines::WarmState`]) per claimed run and
-    /// walks the chain in ascending working-set order, so the engine's
-    /// allocations (and the host's caches) stay hot across cells; the
-    /// engine is re-spawned only after a state-incompatible transition
-    /// (an unwound probe).
-    ///
-    /// Because every probe starts from the flushed (≡ just-constructed)
-    /// engine state and each probe is deterministic, the outcome — surface
-    /// values, checkpoint bytes, failed cells, robustness counters — is
-    /// bit-identical to [`ResilientSweep::run`] with the equivalent probe,
-    /// regardless of thread count or completion order: the checkpoint keeps
-    /// cells in a `BTreeMap` and the surface is assembled in grid order
-    /// after the pool drains. `threads <= 1` still walks the same runs with
-    /// the same warm engines, sequentially.
-    ///
-    /// The run-wide budget stops workers from claiming new cells
-    /// ([`crate::pool::run_indexed_while`]); the per-cell timeout is
-    /// installed on each engine as a [`CancelToken`], so instrumented
-    /// probes stop cooperatively mid-loop and the cell records as a
-    /// [`FailureKind::Timeout`] hole.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ResilientSweep::run`] returns, plus
-    /// [`SweepError::Spawn`] when `spawner` fails — a spawn failure cancels
-    /// the pool's claim token and fails the sweep (the checkpoint keeps all
-    /// cells finished before the failure).
+    /// title/grid) or cannot be read or written, and [`SweepError::Spawn`]
+    /// when `spawner` fails — a spawn failure stops the sweep (the
+    /// checkpoint keeps all cells finished before the failure).
     pub fn run_parallel<S, P>(
         &self,
         title: &str,
@@ -513,128 +389,55 @@ impl ResilientSweep {
         let state = Mutex::new(state);
         let counters = Mutex::new(counters);
         let fatal: Mutex<Option<SweepError>> = Mutex::new(None);
-        // Budget expiry and fatal errors both stop further claims; cells
-        // already in flight finish (and their tokens, derived from this
-        // one, pick up the cancellation cooperatively).
+        // Budget expiry and fatal errors both cancel this token: workers
+        // stop claiming, and in-flight cells (whose tokens derive from it)
+        // unwind cooperatively and stay pending.
         let claim = match self.budget {
             Some(b) => CancelToken::with_deadline(b),
             None => CancelToken::new(),
         };
-
-        // Group the remaining cells into same-stride runs: the warm-path
-        // scheduling unit. Workers steal whole runs, never single cells.
-        let runs = Grid::runs_of(attempt);
         let saves = AtomicU64::new(0);
 
-        let slots = crate::pool::run_indexed_while(threads, runs.len(), &claim, |r| {
-            let mut warm = WarmState::new();
-            let mut recorded = 0usize;
-            let mut skipped = 0usize;
-            for &(ws, stride) in &runs[r] {
-                if claim.is_cancelled() {
-                    // Budget expired mid-run: the rest of the chain stays
-                    // pending, exactly as if the cells were never claimed.
-                    skipped += 1;
-                    continue;
+        let slots = run_cells(threads, attempt, &claim, |warm, ws, stride| {
+            let attempted = self.attempt(warm, spawner, &probe, &claim, ws, stride);
+            let (attempts, verdict) = match attempted {
+                Ok(Some(done)) => done,
+                // Stopped by the run-wide token: the cell stays pending.
+                Ok(None) => return None,
+                Err(err) => {
+                    *lock_or_recover(&fatal) = Some(SweepError::Spawn(err));
+                    claim.cancel();
+                    return None;
                 }
-                let mut rng = self.cell_rng(ws, stride);
-                let mut attempts = 0u32;
-                let verdict = loop {
-                    attempts += 1;
-                    let token = match self.cell_timeout {
-                        Some(t) => claim.child_with_deadline(t),
-                        None => claim.clone(),
-                    };
-                    if token.is_cancelled() {
-                        break Verdict::Failed(FailureKind::Timeout, CELL_TIMEOUT.to_string());
+            };
+            let mut st = lock_or_recover(&state);
+            let mut rc = lock_or_recover(&counters);
+            record_verdict(&mut st, &mut rc, (ws, stride), attempts, verdict);
+            // Saving under the state lock serializes checkpoint writes (and
+            // keeps the batched-fsync cadence well-defined).
+            let nth = saves.fetch_add(1, Ordering::Relaxed) + 1;
+            match self.save_state(title, grid, &st, self.durable_save(nth)) {
+                Ok(retried) => {
+                    if retried {
+                        rc.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
                     }
-                    let engine = match warm.engine(spawner) {
-                        Ok(engine) => engine,
-                        Err(err) => {
-                            *lock_or_recover(&fatal) = Some(SweepError::Spawn(err));
-                            claim.cancel();
-                            return RunDone::Fatal;
-                        }
-                    };
-                    engine.set_cancel_token(token.clone());
-                    match catch_unwind(AssertUnwindSafe(|| probe(engine, ws, stride))) {
-                        Ok(Some(mb_s)) => break Verdict::Done(mb_s),
-                        Ok(None) => {
-                            break Verdict::Failed(
-                                FailureKind::Unsupported,
-                                UNSUPPORTED.to_string(),
-                            )
-                        }
-                        Err(panic) => {
-                            // An unwound probe is the one state-incompatible
-                            // transition: drop the engine, re-spawn fresh.
-                            warm.reset();
-                            if panic.downcast_ref::<CellCancelled>().is_some() {
-                                break Verdict::Failed(
-                                    FailureKind::Timeout,
-                                    CELL_TIMEOUT.to_string(),
-                                );
-                            }
-                            if attempts > self.retries {
-                                break Verdict::Failed(
-                                    FailureKind::Panic,
-                                    panic_text(panic.as_ref()),
-                                );
-                            }
-                            self.backoff(&mut rng, attempts);
-                        }
-                    }
-                };
-                if matches!(verdict, Verdict::Failed(FailureKind::Timeout, _))
-                    && lock_or_recover(&fatal).is_some()
-                {
-                    // The cell was cancelled by a fatal error, not its own
-                    // budget — don't poison the checkpoint with a bogus
-                    // timeout record.
-                    return RunDone::Fatal;
+                    Some(())
                 }
-                let mut st = lock_or_recover(&state);
-                let mut rc = lock_or_recover(&counters);
-                record_verdict(&mut st, &mut rc, (ws, stride), attempts, verdict);
-                // Saving under the state lock serializes checkpoint writes
-                // (and keeps the batched-fsync cadence well-defined).
-                let nth = saves.fetch_add(1, Ordering::Relaxed) + 1;
-                match self.save_state(title, grid, &st, self.durable_save(nth)) {
-                    Ok(retried) => {
-                        if retried {
-                            rc.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
-                        }
-                        recorded += 1;
-                    }
-                    Err(err) => {
-                        drop(st);
-                        drop(rc);
-                        *lock_or_recover(&fatal) = Some(err.into());
-                        claim.cancel();
-                        return RunDone::Fatal;
-                    }
+                Err(err) => {
+                    drop(st);
+                    drop(rc);
+                    *lock_or_recover(&fatal) = Some(err.into());
+                    claim.cancel();
+                    None
                 }
             }
-            RunDone::Progress { recorded, skipped }
         });
 
         if let Some(err) = lock_or_recover(&fatal).take() {
             return Err(err);
         }
-        let mut measured = 0usize;
-        let mut pending = capped.len();
-        for (slot, run) in slots.iter().zip(&runs) {
-            match slot {
-                Some(RunDone::Progress { recorded, skipped }) => {
-                    measured += recorded;
-                    pending += skipped;
-                }
-                // Fatal slots imply a fatal error, handled above.
-                Some(RunDone::Fatal) => {}
-                // The run was never claimed: all its cells stay pending.
-                None => pending += run.len(),
-            }
-        }
+        let measured = slots.iter().flatten().count();
+        let pending = capped.len() + slots.len() - measured;
         let state = state.into_inner().unwrap_or_else(|p| p.into_inner());
         let mut counters = counters.into_inner().unwrap_or_else(|p| p.into_inner());
         if self.final_flush(title, grid, &state, saves.into_inner())? {
@@ -643,8 +446,69 @@ impl ResilientSweep {
         Ok(self.outcome(title, grid, state, measured, resumed, pending, counters))
     }
 
+    /// Attempts one cell on the run's warm engine, retrying panics, and
+    /// returns the attempts spent with the verdict. `Ok(None)` means the
+    /// run-wide `claim` token stopped the cell: it gets no verdict.
+    ///
+    /// # Errors
+    ///
+    /// Returns the spawner's error when no engine can be built.
+    fn attempt<S, P>(
+        &self,
+        warm: &mut WarmState<S::Engine>,
+        spawner: &S,
+        probe: &P,
+        claim: &CancelToken,
+        ws: u64,
+        stride: u64,
+    ) -> Result<Option<(u32, Verdict)>, SimError>
+    where
+        S: SpawnEngine,
+        P: Fn(&mut S::Engine, u64, u64) -> Option<f64>,
+    {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            let token = match self.cell_timeout {
+                Some(t) => claim.child_with_deadline(t),
+                None => claim.clone(),
+            };
+            if token.is_cancelled() {
+                return Ok(self.timed_out(claim, attempts));
+            }
+            let engine = warm.engine(spawner)?;
+            engine.set_cancel_token(token);
+            let verdict = match catch_unwind(AssertUnwindSafe(|| probe(engine, ws, stride))) {
+                Ok(Some(mb_s)) => Verdict::Done(mb_s),
+                Ok(None) => Verdict::Failed(FailureKind::Unsupported, UNSUPPORTED.to_string()),
+                Err(panic) => {
+                    // An unwound probe is the one state-incompatible
+                    // transition: drop the engine, re-spawn fresh.
+                    warm.reset();
+                    if panic.downcast_ref::<CellCancelled>().is_some() {
+                        return Ok(self.timed_out(claim, attempts));
+                    }
+                    if attempts <= self.retries {
+                        continue;
+                    }
+                    Verdict::Failed(FailureKind::Panic, panic_text(panic.as_ref()))
+                }
+            };
+            return Ok(Some((attempts, verdict)));
+        }
+    }
+
+    /// The verdict of a cancelled cell: a [`FailureKind::Timeout`] when its
+    /// own deadline stopped it, none when the run-wide token did.
+    fn timed_out(&self, claim: &CancelToken, attempts: u32) -> Option<(u32, Verdict)> {
+        (!claim.is_cancelled()).then(|| {
+            let verdict = Verdict::Failed(FailureKind::Timeout, CELL_TIMEOUT.to_string());
+            (attempts, verdict)
+        })
+    }
+
     /// [`ResilientSweep::run_parallel`] with the probe closure derived
-    /// from a [`SweepOp`] through the unified probe API — the common case
+    /// from a [`crate::bench::SweepOp`] through the unified probe API — the common case
     /// for CLI sweeps, where the operation (not an arbitrary closure)
     /// names the work. Tier selection rides on the spawner: hand a
     /// `gasnub_analytic::TieredSpec` here and trusted cells take the
@@ -667,26 +531,6 @@ impl ResilientSweep {
         self.run_parallel(title, grid, threads, spawner, |machine, ws, stride| {
             op.measure(machine, ws, stride)
         })
-    }
-
-    /// A per-cell RNG for backoff jitter, independent of thread schedule.
-    fn cell_rng(&self, ws: u64, stride: u64) -> Rng {
-        Rng::new(self.retry_seed ^ ws.rotate_left(17) ^ stride)
-    }
-
-    /// Sleeps the exponential, jittered backoff before retry `attempt`.
-    fn backoff(&self, rng: &mut Rng, attempt: u32) {
-        if self.retry_backoff.is_zero() {
-            return;
-        }
-        let exp = self
-            .retry_backoff
-            .saturating_mul(1 << (attempt - 1).min(10));
-        let nanos = exp.as_nanos().min(u64::MAX as u128) as u64;
-        // Jitter uniformly within [base/2, base]: decorrelates retry storms
-        // without ever collapsing the delay to zero.
-        let jittered = nanos / 2 + rng.gen_range(0, nanos / 2 + 1);
-        std::thread::sleep(Duration::from_nanos(jittered));
     }
 
     /// Assembles the surface and outcome from the final checkpoint state.
@@ -1054,6 +898,7 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gasnub_machines::{MachineId, MeasureLimits, Measurement, ProbeOp, ProbeRequest};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A unique checkpoint path per test (tests run concurrently).
@@ -1075,6 +920,11 @@ mod tests {
         (ws as f64).sqrt() / stride as f64 + 1.0 / 3.0
     }
 
+    /// The probe of a healthy cell.
+    fn ok(ws: u64, stride: u64) -> Option<f64> {
+        Some(model(ws, stride))
+    }
+
     /// Silences the default panic hook for the duration of `f`.
     fn quietly<T>(f: impl FnOnce() -> T) -> T {
         let prior = std::panic::take_hook();
@@ -1084,85 +934,151 @@ mod tests {
         out
     }
 
+    /// A trivial deterministic machine whose every probe reports the
+    /// synthetic [`model`] bandwidth; lets the tests exercise the runner
+    /// without simulating a real hierarchy. A spinning stub instead waits
+    /// on the token the runner installs until it is cancelled.
+    #[derive(Default)]
+    struct Stub {
+        spin: bool,
+        token: Option<CancelToken>,
+    }
+
+    impl Machine for Stub {
+        fn id(&self) -> MachineId {
+            MachineId::Custom
+        }
+        fn clock_mhz(&self) -> f64 {
+            100.0
+        }
+        fn limits(&self) -> MeasureLimits {
+            MeasureLimits::fast()
+        }
+        fn set_limits(&mut self, _limits: MeasureLimits) {}
+        fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
+            if self.spin {
+                let token = self.token.as_ref().expect("the runner installs a token");
+                loop {
+                    token.bail_if_cancelled();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Some(Measurement {
+                bytes: req.ws_bytes,
+                cycles: 1.0,
+                mb_s: model(req.ws_bytes, req.stride),
+            })
+        }
+        fn set_cancel_token(&mut self, token: CancelToken) {
+            self.token = Some(token);
+        }
+    }
+
+    fn stub_probe(m: &mut Stub, ws: u64, stride: u64) -> Option<f64> {
+        m.probe(&ProbeRequest::new(ProbeOp::LocalLoad, ws, stride))
+            .map(|r| r.mb_s)
+    }
+
+    /// Sweeps `grid()` as "t" on `threads` workers of stub engines,
+    /// measuring `probe(ws, stride)` for each cell.
+    fn sweep(
+        runner: &ResilientSweep,
+        threads: usize,
+        probe: impl Fn(u64, u64) -> Option<f64> + Sync,
+    ) -> Result<SweepOutcome, SweepError> {
+        runner.run_parallel(
+            "t",
+            &grid(),
+            threads,
+            &Stub::default,
+            |_: &mut Stub, ws, s| probe(ws, s),
+        )
+    }
+
     #[test]
-    fn complete_run_matches_direct_sweep() {
-        let runner = ResilientSweep::new(scratch("complete"));
-        let out = runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert!(out.is_complete());
-        assert_eq!(out.measured, grid().cells());
-        assert_eq!(out.resumed, 0);
-        assert!(out.failed.is_empty());
-        assert!(out.robustness.is_empty());
-        assert_eq!(out.surface.value(2048, 4), Some(model(2048, 4)));
-        runner.clear_checkpoint().unwrap();
+    fn complete_runs_write_the_same_bytes_at_any_thread_count() {
+        let mut bytes = Vec::new();
+        for threads in [1, 4] {
+            let runner = ResilientSweep::new(scratch("complete"));
+            let out = sweep(&runner, threads, ok).unwrap();
+            assert!(out.is_complete(), "threads={threads}");
+            assert_eq!(out.measured, grid().cells(), "threads={threads}");
+            assert_eq!(out.resumed, 0);
+            assert!(out.failed.is_empty());
+            assert!(out.robustness.is_empty());
+            assert_eq!(out.surface.value(2048, 4), Some(model(2048, 4)));
+            bytes.push(std::fs::read(&runner.checkpoint).unwrap());
+            runner.clear_checkpoint().unwrap();
+        }
+        assert_eq!(
+            bytes[0], bytes[1],
+            "threads 4 must write the threads-1 bytes"
+        );
     }
 
     #[test]
     fn interrupted_then_resumed_is_bit_identical() {
-        let path = scratch("resume");
-        let uninterrupted = ResilientSweep::new(scratch("direct"))
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
+        for threads in [1, 4] {
+            let direct = ResilientSweep::new(scratch("direct"));
+            let uninterrupted = sweep(&direct, threads, ok).unwrap();
+            direct.clear_checkpoint().unwrap();
 
-        let first = ResilientSweep::new(&path)
-            .with_max_cells(3)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(first.measured, 3);
-        assert_eq!(first.pending, grid().cells() - 3);
-        assert!(!first.is_complete());
+            let path = scratch("resume");
+            let first = sweep(&ResilientSweep::new(&path).with_max_cells(3), threads, ok).unwrap();
+            assert_eq!(first.measured, 3, "threads={threads}");
+            assert_eq!(first.pending, grid().cells() - 3);
+            assert!(!first.is_complete());
 
-        let second = ResilientSweep::new(&path)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(second.resumed, 3);
-        assert_eq!(second.measured, grid().cells() - 3);
-        assert!(second.is_complete());
-        // Bit-identical: compare the stored bit patterns cell by cell.
-        for &ws in &grid().working_sets {
-            for &s in &grid().strides {
-                let a = uninterrupted.surface.value(ws, s).unwrap().to_bits();
-                let b = second.surface.value(ws, s).unwrap().to_bits();
-                assert_eq!(a, b, "cell ({ws}, {s})");
+            // Resume at the other thread count: a checkpoint does not
+            // depend on how many workers wrote it.
+            let second = sweep(&ResilientSweep::new(&path), 5 - threads, ok).unwrap();
+            assert_eq!(second.resumed, 3, "threads={threads}");
+            assert_eq!(second.measured, grid().cells() - 3);
+            assert!(second.is_complete());
+            // Bit-identical: compare the stored bit patterns cell by cell.
+            for &ws in &grid().working_sets {
+                for &s in &grid().strides {
+                    let a = uninterrupted.surface.value(ws, s).unwrap().to_bits();
+                    let b = second.surface.value(ws, s).unwrap().to_bits();
+                    assert_eq!(a, b, "cell ({ws}, {s}) threads={threads}");
+                    assert_eq!(b, model(ws, s).to_bits());
+                }
             }
+            ResilientSweep::new(&path).clear_checkpoint().unwrap();
         }
-        ResilientSweep::new(&path).clear_checkpoint().unwrap();
     }
 
     #[test]
     fn panicking_cell_is_recorded_and_isolated() {
-        let runner = ResilientSweep::new(scratch("panic"));
-        let out = quietly(|| {
-            runner
-                .run("t", &grid(), |ws, s| {
+        for threads in [1, 4] {
+            let runner = ResilientSweep::new(scratch("panic"));
+            let out = quietly(|| {
+                sweep(&runner, threads, |ws, s| {
                     assert!(!(ws == 2048 && s == 2), "injected failure");
-                    Some(model(ws, s))
+                    ok(ws, s)
                 })
                 .unwrap()
-        });
-        assert!(out.is_complete());
-        assert_eq!(out.failed.len(), 1);
-        assert_eq!((out.failed[0].ws_bytes, out.failed[0].stride), (2048, 2));
-        assert_eq!(out.failed[0].kind, FailureKind::Panic);
-        assert_eq!(out.failed[0].attempts, 1);
-        assert!(
-            out.failed[0].error.contains("injected failure"),
-            "got {:?}",
-            out.failed[0].error
-        );
-        assert_eq!(out.robustness.get(gasnub_trace::robustness::QUARANTINES), 1);
-        assert!(out.surface.value(2048, 2).unwrap().is_nan());
-        assert_eq!(out.surface.value(2048, 4), Some(model(2048, 4)));
-        // A resumed run does not retry the quarantined cell.
-        let again = runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(again.failed.len(), 1);
-        assert_eq!(again.failed[0].kind, FailureKind::Panic);
-        assert_eq!(again.measured, 0);
-        runner.clear_checkpoint().unwrap();
+            });
+            assert!(out.is_complete(), "threads={threads}");
+            assert_eq!(out.failed.len(), 1);
+            assert_eq!((out.failed[0].ws_bytes, out.failed[0].stride), (2048, 2));
+            assert_eq!(out.failed[0].kind, FailureKind::Panic);
+            assert_eq!(out.failed[0].attempts, 1);
+            assert!(
+                out.failed[0].error.contains("injected failure"),
+                "got {:?}",
+                out.failed[0].error
+            );
+            assert_eq!(out.robustness.get(gasnub_trace::robustness::QUARANTINES), 1);
+            assert!(out.surface.value(2048, 2).unwrap().is_nan());
+            assert_eq!(out.surface.value(2048, 4), Some(model(2048, 4)));
+            // A resumed run does not retry the quarantined cell.
+            let again = sweep(&runner, threads, ok).unwrap();
+            assert_eq!(again.failed.len(), 1);
+            assert_eq!(again.failed[0].kind, FailureKind::Panic);
+            assert_eq!(again.measured, 0);
+            runner.clear_checkpoint().unwrap();
+        }
     }
 
     #[test]
@@ -1170,18 +1086,17 @@ mod tests {
         let runner = ResilientSweep::new(scratch("retry-heal")).with_retries(2);
         let flaky_calls = AtomicUsize::new(0);
         let out = quietly(|| {
-            runner
-                .run("t", &grid(), |ws, s| {
-                    if ws == 2048 && s == 2 {
-                        // Panic on the first two attempts, succeed on the
-                        // third.
-                        if flaky_calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                            panic!("transient failure");
-                        }
+            sweep(&runner, 1, |ws, s| {
+                if ws == 2048 && s == 2 {
+                    // Panic on the first two attempts, succeed on the
+                    // third.
+                    if flaky_calls.fetch_add(1, Ordering::Relaxed) < 2 {
+                        panic!("transient failure");
                     }
-                    Some(model(ws, s))
-                })
-                .unwrap()
+                }
+                ok(ws, s)
+            })
+            .unwrap()
         });
         assert!(out.is_complete());
         assert!(out.failed.is_empty());
@@ -1195,12 +1110,11 @@ mod tests {
     fn persistent_panic_exhausts_retries_and_quarantines() {
         let runner = ResilientSweep::new(scratch("retry-exhaust")).with_retries(2);
         let out = quietly(|| {
-            runner
-                .run("t", &grid(), |ws, s| {
-                    assert!(!(ws == 2048 && s == 2), "poison cell");
-                    Some(model(ws, s))
-                })
-                .unwrap()
+            sweep(&runner, 1, |ws, s| {
+                assert!(!(ws == 2048 && s == 2), "poison cell");
+                ok(ws, s)
+            })
+            .unwrap()
         });
         assert!(out.is_complete());
         assert_eq!(out.failed.len(), 1);
@@ -1213,151 +1127,82 @@ mod tests {
 
     #[test]
     fn zero_cell_timeout_records_deterministic_timeouts() {
-        let runner = ResilientSweep::new(scratch("cell-timeout")).with_cell_timeout(Duration::ZERO);
-        let out = runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert!(out.is_complete());
-        assert_eq!(out.failed.len(), grid().cells());
-        assert!(out.failed.iter().all(|f| f.kind == FailureKind::Timeout));
-        assert_eq!(
-            out.robustness.get(gasnub_trace::robustness::TIMEOUTS),
-            grid().cells() as u64
-        );
-        // Timed-out cells are holes, skipped on resume.
-        let again = ResilientSweep::new(runner.checkpoint_path())
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(again.measured, 0);
-        runner.clear_checkpoint().unwrap();
+        for threads in [1, 4] {
+            let runner =
+                ResilientSweep::new(scratch("cell-timeout")).with_cell_timeout(Duration::ZERO);
+            let out = sweep(&runner, threads, ok).unwrap();
+            assert!(out.is_complete(), "threads={threads}");
+            assert_eq!(out.failed.len(), grid().cells());
+            assert!(out.failed.iter().all(|f| f.kind == FailureKind::Timeout));
+            assert_eq!(
+                out.robustness.get(gasnub_trace::robustness::TIMEOUTS),
+                grid().cells() as u64,
+                "threads={threads}"
+            );
+            // Timed-out cells are holes, skipped on resume.
+            let again = sweep(&ResilientSweep::new(&runner.checkpoint), threads, ok).unwrap();
+            assert_eq!(again.measured, 0);
+            runner.clear_checkpoint().unwrap();
+        }
     }
 
     #[test]
     fn unsupported_cells_fail_rather_than_abort() {
-        let runner = ResilientSweep::new(scratch("unsupported"));
-        let out = runner.run("t", &grid(), |_, _| None).unwrap();
-        assert_eq!(out.failed.len(), grid().cells());
-        assert!(out.failed.iter().all(|f| f.error.contains("unsupported")));
-        assert!(out
-            .failed
-            .iter()
-            .all(|f| f.kind == FailureKind::Unsupported));
-        // Unsupported is not a robustness event: nothing to report.
-        assert!(out.robustness.is_empty());
-        runner.clear_checkpoint().unwrap();
+        for threads in [1, 4] {
+            let runner = ResilientSweep::new(scratch("unsupported"));
+            let out = sweep(&runner, threads, |_, _| None).unwrap();
+            assert_eq!(out.failed.len(), grid().cells(), "threads={threads}");
+            assert!(out.failed.iter().all(|f| f.error.contains("unsupported")));
+            assert!(out
+                .failed
+                .iter()
+                .all(|f| f.kind == FailureKind::Unsupported));
+            // Unsupported is not a robustness event: nothing to report.
+            assert!(out.robustness.is_empty());
+            runner.clear_checkpoint().unwrap();
+        }
     }
 
     #[test]
     fn zero_budget_attempts_nothing() {
-        let runner = ResilientSweep::new(scratch("budget")).with_budget(Duration::ZERO);
-        let out = runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(out.measured, 0);
-        assert_eq!(out.pending, grid().cells());
-        runner.clear_checkpoint().unwrap();
-    }
-
-    use gasnub_machines::{MachineId, MeasureLimits, Measurement, ProbeOp, ProbeRequest};
-
-    /// A trivial deterministic machine whose every probe reports the
-    /// synthetic [`model`] bandwidth (pure remote loads are unsupported);
-    /// lets the parallel tests exercise the pool without simulating a real
-    /// hierarchy.
-    struct Synthetic;
-
-    impl Machine for Synthetic {
-        fn id(&self) -> MachineId {
-            MachineId::Custom
-        }
-        fn clock_mhz(&self) -> f64 {
-            100.0
-        }
-        fn limits(&self) -> MeasureLimits {
-            MeasureLimits::fast()
-        }
-        fn set_limits(&mut self, _limits: MeasureLimits) {}
-        fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
-            (req.op != ProbeOp::RemoteLoad).then(|| Measurement {
-                bytes: req.ws_bytes,
-                cycles: 1.0,
-                mb_s: model(req.ws_bytes, req.stride),
-            })
-        }
-    }
-
-    fn synthetic_probe(m: &mut Synthetic, ws: u64, stride: u64) -> Option<f64> {
-        m.probe(&ProbeRequest::new(ProbeOp::LocalLoad, ws, stride))
-            .map(|r| r.mb_s)
-    }
-
-    #[test]
-    fn parallel_run_writes_the_same_checkpoint_bytes_as_sequential() {
-        let seq_path = scratch("par-seq");
-        let par_path = scratch("par-par");
-        let sequential = ResilientSweep::new(&seq_path)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
         for threads in [1, 4] {
-            let parallel = ResilientSweep::new(&par_path)
-                .run_parallel("t", &grid(), threads, &(|| Synthetic), synthetic_probe)
+            let runner = ResilientSweep::new(scratch("budget")).with_budget(Duration::ZERO);
+            let out = sweep(&runner, threads, ok).unwrap();
+            assert_eq!(out.measured, 0, "threads={threads}");
+            assert_eq!(out.pending, grid().cells());
+            runner.clear_checkpoint().unwrap();
+        }
+    }
+
+    #[test]
+    fn budget_expiry_leaves_in_flight_cells_pending() {
+        for threads in [1, 4] {
+            // Every first cell of a run outlives the budget: the run-wide
+            // token, not a cell deadline, stops it.
+            let runner = ResilientSweep::new(scratch("budget-expiry"))
+                .with_budget(Duration::from_millis(50));
+            let spinning = || Stub {
+                spin: true,
+                token: None,
+            };
+            let out = runner
+                .run_parallel("t", &grid(), threads, &spinning, stub_probe)
                 .unwrap();
-            assert_eq!(parallel.measured, sequential.measured, "threads={threads}");
-            assert_eq!(
-                std::fs::read(&seq_path).unwrap(),
-                std::fs::read(&par_path).unwrap(),
-                "threads={threads}"
-            );
-            ResilientSweep::new(&par_path).clear_checkpoint().unwrap();
-        }
-        ResilientSweep::new(&seq_path).clear_checkpoint().unwrap();
-    }
+            assert!(out.pending >= 1, "threads={threads}");
+            assert_eq!(out.pending + out.measured, grid().cells());
+            assert!(out.failed.is_empty(), "threads={threads}: {:?}", out.failed);
+            assert_eq!(out.robustness.get(gasnub_trace::robustness::TIMEOUTS), 0);
 
-    #[test]
-    fn parallel_run_resumes_a_sequential_checkpoint() {
-        let path = scratch("par-resume");
-        let first = ResilientSweep::new(&path)
-            .with_max_cells(2)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
-            .unwrap();
-        assert_eq!(first.measured, 2);
-        let second = ResilientSweep::new(&path)
-            .run_parallel("t", &grid(), 4, &(|| Synthetic), synthetic_probe)
-            .unwrap();
-        assert_eq!(second.resumed, 2);
-        assert_eq!(second.measured, grid().cells() - 2);
-        assert!(second.is_complete());
-        for &ws in &grid().working_sets {
-            for &s in &grid().strides {
-                assert_eq!(second.surface.value(ws, s), Some(model(ws, s)));
-            }
+            // The cells left pending are measured on resume.
+            let resumed = ResilientSweep::new(&runner.checkpoint)
+                .run_parallel("t", &grid(), threads, &Stub::default, stub_probe)
+                .unwrap();
+            assert!(resumed.is_complete(), "threads={threads}");
+            assert!(resumed.failed.is_empty());
+            assert_eq!(resumed.measured, out.pending);
+            assert_eq!(resumed.surface.value(1024, 1), Some(model(1024, 1)));
+            runner.clear_checkpoint().unwrap();
         }
-        ResilientSweep::new(&path).clear_checkpoint().unwrap();
-    }
-
-    #[test]
-    fn parallel_panics_are_isolated_per_cell() {
-        let runner = ResilientSweep::new(scratch("par-panic"));
-        let out = quietly(|| {
-            runner
-                .run_parallel(
-                    "t",
-                    &grid(),
-                    3,
-                    &(|| Synthetic),
-                    |m: &mut Synthetic, ws, s| {
-                        assert!(!(ws == 2048 && s == 2), "injected parallel failure");
-                        synthetic_probe(m, ws, s)
-                    },
-                )
-                .unwrap()
-        });
-        assert!(out.is_complete());
-        assert_eq!(out.failed.len(), 1);
-        assert_eq!((out.failed[0].ws_bytes, out.failed[0].stride), (2048, 2));
-        assert_eq!(out.failed[0].kind, FailureKind::Panic);
-        assert!(out.surface.value(2048, 2).unwrap().is_nan());
-        runner.clear_checkpoint().unwrap();
     }
 
     #[test]
@@ -1366,20 +1211,13 @@ mod tests {
         for threads in [1, 2, 4] {
             let runner = ResilientSweep::new(scratch("par-counters")).with_retries(1);
             let out = quietly(|| {
-                runner
-                    .run_parallel(
-                        "t",
-                        &grid(),
-                        threads,
-                        &(|| Synthetic),
-                        |m: &mut Synthetic, ws, s| {
-                            // Two poison cells that panic deterministically
-                            // on every attempt.
-                            assert!(s != 2, "poison stride");
-                            synthetic_probe(m, ws, s)
-                        },
-                    )
-                    .unwrap()
+                sweep(&runner, threads, |ws, s| {
+                    // Two poison cells that panic deterministically on
+                    // every attempt.
+                    assert!(s != 2, "poison stride");
+                    ok(ws, s)
+                })
+                .unwrap()
             });
             assert_eq!(
                 out.robustness.get(gasnub_trace::robustness::RETRIES),
@@ -1397,56 +1235,6 @@ mod tests {
             }
             runner.clear_checkpoint().unwrap();
         }
-    }
-
-    #[test]
-    fn parallel_zero_cell_timeout_is_deterministic() {
-        for threads in [1, 4] {
-            let runner =
-                ResilientSweep::new(scratch("par-cell-timeout")).with_cell_timeout(Duration::ZERO);
-            let out = runner
-                .run_parallel("t", &grid(), threads, &(|| Synthetic), synthetic_probe)
-                .unwrap();
-            assert!(out.is_complete());
-            assert_eq!(
-                out.robustness.get(gasnub_trace::robustness::TIMEOUTS),
-                grid().cells() as u64,
-                "threads={threads}"
-            );
-            assert!(out.failed.iter().all(|f| f.kind == FailureKind::Timeout));
-            runner.clear_checkpoint().unwrap();
-        }
-    }
-
-    #[test]
-    fn parallel_unsupported_cells_are_recorded() {
-        let runner = ResilientSweep::new(scratch("par-unsupported"));
-        let out = runner
-            .run_parallel(
-                "t",
-                &grid(),
-                2,
-                &(|| Synthetic),
-                |m: &mut Synthetic, ws, s| {
-                    m.probe(&ProbeRequest::new(ProbeOp::RemoteLoad, ws, s))
-                        .map(|r| r.mb_s)
-                },
-            )
-            .unwrap();
-        assert_eq!(out.failed.len(), grid().cells());
-        assert!(out.failed.iter().all(|f| f.error.contains("unsupported")));
-        runner.clear_checkpoint().unwrap();
-    }
-
-    #[test]
-    fn parallel_zero_budget_attempts_nothing() {
-        let runner = ResilientSweep::new(scratch("par-budget")).with_budget(Duration::ZERO);
-        let out = runner
-            .run_parallel("t", &grid(), 4, &(|| Synthetic), synthetic_probe)
-            .unwrap();
-        assert_eq!(out.measured, 0);
-        assert_eq!(out.pending, grid().cells());
-        runner.clear_checkpoint().unwrap();
     }
 
     /// Counts writes and fsyncs flowing through the checkpoint path.
@@ -1479,7 +1267,7 @@ mod tests {
         ResilientSweep::new(&per_cell_path)
             .with_fsync_every(1)
             .with_write_faults(per_cell_count.clone())
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         {
             let c = per_cell_count.lock().unwrap();
@@ -1491,7 +1279,7 @@ mod tests {
         ResilientSweep::new(&batched_path)
             .with_fsync_every(4)
             .with_write_faults(batched_count.clone())
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         {
             // Write 4 syncs, plus the final durable flush (6 % 4 != 0):
@@ -1505,14 +1293,14 @@ mod tests {
             "batching must not change the checkpoint bytes"
         );
 
-        // The parallel runner batches on the same cadence: with a batch
-        // larger than the sweep, only the final flush syncs.
+        // Several workers batch on the same cadence: with a batch larger
+        // than the sweep, only the final flush syncs.
         let par_path = scratch("fsync-par");
         let par_count: Arc<Mutex<CountFsyncs>> = Arc::default();
         ResilientSweep::new(&par_path)
             .with_fsync_every(64)
             .with_write_faults(par_count.clone())
-            .run_parallel("t", &grid(), 3, &(|| Synthetic), synthetic_probe)
+            .run_parallel("t", &grid(), 3, &Stub::default, stub_probe)
             .unwrap();
         {
             let c = par_count.lock().unwrap();
@@ -1529,7 +1317,7 @@ mod tests {
         ResilientSweep::new(&nosync_path)
             .with_fsync(false)
             .with_write_faults(nosync_count.clone())
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         {
             let c = nosync_count.lock().unwrap();
@@ -1545,25 +1333,28 @@ mod tests {
     fn parallel_spawn_failures_stop_the_sweep() {
         struct FailingSpawner;
         impl SpawnEngine for FailingSpawner {
-            type Engine = Synthetic;
-            fn spawn_engine(&self) -> Result<Synthetic, SimError> {
+            type Engine = Stub;
+            fn spawn_engine(&self) -> Result<Stub, SimError> {
                 Err(SimError::malformed("no engines today"))
             }
         }
         let runner = ResilientSweep::new(scratch("par-spawn-fail"));
-        let got = runner.run_parallel("t", &grid(), 2, &FailingSpawner, synthetic_probe);
+        let got = runner.run_parallel("t", &grid(), 2, &FailingSpawner, stub_probe);
         assert!(matches!(got, Err(SweepError::Spawn(_))));
         runner.clear_checkpoint().unwrap();
     }
 
-    /// The corruption table of ISSUE 6: every way a checkpoint can be bad
+    /// The corruption table: every way a checkpoint can be bad
     /// maps to a named error variant, and `--force-restart` recovers from
     /// each (preserving the evidence as `<path>.corrupt`).
     #[test]
     fn corruption_table_names_each_failure_and_force_restart_recovers() {
         let grid = grid();
-        let complete =
-            |runner: &ResilientSweep| runner.run("t", &grid, |ws, s| Some(model(ws, s))).unwrap();
+        let complete = |runner: &ResilientSweep| {
+            runner
+                .run_parallel("t", &grid, 1, &Stub::default, stub_probe)
+                .unwrap()
+        };
 
         type Sabotage = Box<dyn Fn(&PathBuf)>;
         let cases: Vec<(&str, Sabotage, &str)> = vec![
@@ -1616,7 +1407,7 @@ mod tests {
 
             // Without force-restart: the named error, no silent restart.
             let err = runner
-                .run("t", &grid, |ws, s| Some(model(ws, s)))
+                .run_parallel("t", &grid, 1, &Stub::default, stub_probe)
                 .unwrap_err();
             let SweepError::Checkpoint(ck) = &err else {
                 panic!("{name}: expected checkpoint error, got {err:?}");
@@ -1627,7 +1418,7 @@ mod tests {
             // recovery counted.
             let healed = ResilientSweep::new(&path)
                 .with_force_restart(true)
-                .run("t", &grid, |ws, s| Some(model(ws, s)))
+                .run_parallel("t", &grid, 1, &Stub::default, stub_probe)
                 .unwrap();
             assert!(healed.is_complete(), "{name}");
             assert_eq!(healed.measured, grid.cells(), "{name}");
@@ -1660,11 +1451,11 @@ mod tests {
         let path = scratch("foreign");
         let runner = ResilientSweep::new(&path);
         runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         // Different title.
         let err = runner
-            .run("other", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("other", &grid(), 1, &Stub::default, stub_probe)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1676,7 +1467,7 @@ mod tests {
             working_sets: vec![1024],
         };
         let err = runner
-            .run("t", &other, |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &other, 1, &Stub::default, stub_probe)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1686,7 +1477,7 @@ mod tests {
         // restarted.
         std::fs::write(&path, "not json").unwrap();
         let err = runner
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1710,7 +1501,7 @@ mod tests {
             storage::write_durable(&path, broken, false).unwrap();
             let runner = ResilientSweep::new(&path);
             let err = runner
-                .run("t", &grid(), |ws, s| Some(model(ws, s)))
+                .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
                 .unwrap_err();
             assert!(
                 matches!(err, SweepError::Checkpoint(CheckpointError::Corrupt { .. })),
@@ -1725,13 +1516,13 @@ mod tests {
         let path = scratch("force-noop");
         let first = ResilientSweep::new(&path)
             .with_max_cells(3)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         assert_eq!(first.measured, 3);
         // force_restart on a *valid* checkpoint must still resume.
         let second = ResilientSweep::new(&path)
             .with_force_restart(true)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         assert_eq!(second.resumed, 3);
         assert!(second.robustness.is_empty());
@@ -1743,18 +1534,17 @@ mod tests {
         let path = scratch("kind-roundtrip");
         let runner = ResilientSweep::new(&path).with_retries(1);
         let out = quietly(|| {
-            runner
-                .run("t", &grid(), |ws, s| match (ws, s) {
-                    (1024, 1) => panic!("poison"),
-                    (1024, 2) => None,
-                    _ => Some(model(ws, s)),
-                })
-                .unwrap()
+            sweep(&runner, 1, |ws, s| match (ws, s) {
+                (1024, 1) => panic!("poison"),
+                (1024, 2) => None,
+                _ => ok(ws, s),
+            })
+            .unwrap()
         });
         assert_eq!(out.failed.len(), 2);
         // Reload and verify kinds and attempts survived serialization.
         let again = ResilientSweep::new(&path)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         let poison = again
             .failed

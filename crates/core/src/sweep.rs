@@ -1,4 +1,11 @@
-//! Sweep grids: the stride and working-set axes of the paper's figures.
+//! Sweep grids: the stride and working-set axes of the paper's figures,
+//! and the one run scheduler every sweep walks them with.
+
+use std::collections::BTreeMap;
+
+use gasnub_machines::{CancelToken, WarmState};
+
+use crate::pool::run_indexed_while;
 
 /// A sweep grid: which strides and working sets to measure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +110,54 @@ impl Grid {
     }
 }
 
+/// The run scheduler behind every sweep in this crate
+/// ([`crate::bench::sweep_surface_par`], [`crate::counters::collect_counters`]
+/// and [`crate::resilient::ResilientSweep::run_parallel`]).
+///
+/// `cells` are grouped into runs ([`Grid::runs_of`]); `threads` workers
+/// claim whole runs from the pool while `claim` is live, and each run gets
+/// one [`WarmState`] engine cache that `cell` probes through, in ascending
+/// working-set order. Every probe starts from flushed (≡ just-constructed)
+/// engine state, so results do not depend on which worker walked which run.
+///
+/// Returns one slot per cell, in the order of `cells`. A slot is `None`
+/// when `cell` returned `None`, when its run was never claimed, or when
+/// `claim` was cancelled before the cell was reached.
+pub(crate) fn run_cells<E, T, F>(
+    threads: usize,
+    cells: &[(u64, u64)],
+    claim: &CancelToken,
+    cell: F,
+) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(&mut WarmState<E>, u64, u64) -> Option<T> + Sync,
+{
+    let runs = Grid::runs_of(cells);
+    let per_run = run_indexed_while(threads, runs.len(), claim, |r| {
+        let mut warm = WarmState::new();
+        runs[r]
+            .iter()
+            .map(|&(ws, stride)| {
+                if claim.is_cancelled() {
+                    None
+                } else {
+                    cell(&mut warm, ws, stride)
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut gathered = BTreeMap::new();
+    for (run, slots) in runs.iter().zip(per_run) {
+        for (&key, slot) in run.iter().zip(slots.into_iter().flatten()) {
+            if let Some(value) = slot {
+                gathered.insert(key, value);
+            }
+        }
+    }
+    cells.iter().map(|key| gathered.remove(key)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +214,35 @@ mod tests {
             vec![vec![(2048, 8), (4096, 8)], vec![(4096, 1), (8192, 1)],]
         );
         assert!(Grid::runs_of(&[]).is_empty());
+    }
+
+    #[test]
+    fn run_cells_gathers_in_cell_order_and_skips_after_cancel() {
+        let g = Grid::quick();
+        let cells: Vec<(u64, u64)> = (0..g.cells()).map(|i| g.cell(i)).collect();
+        let expected: Vec<Option<u64>> = cells.iter().map(|&(ws, s)| Some(ws * s)).collect();
+        for threads in [1, 4] {
+            let got = run_cells(
+                threads,
+                &cells,
+                &CancelToken::new(),
+                |_: &mut WarmState<()>, ws, s| Some(ws * s),
+            );
+            assert_eq!(got, expected, "threads={threads}");
+
+            // Once a cell cancels the claim, each worker reaches at most
+            // the cell it had already started.
+            let claim = CancelToken::new();
+            let got = run_cells(threads, &cells, &claim, |_: &mut WarmState<()>, ws, s| {
+                claim.cancel();
+                Some(ws * s)
+            });
+            let reached = got.iter().flatten().count();
+            assert!(
+                (1..=threads).contains(&reached),
+                "threads={threads}: {reached}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * a cancelled token makes the probe panic with the [`CellCancelled`]
 //!   marker payload, which the resilient sweep runner catches with
 //!   `catch_unwind` and records as a *timeout* (distinct from a genuine
-//!   panic), leaving the engine to be dropped — per-cell engines make this
-//!   safe.
+//!   panic) — or leaves pending, when the run-wide budget fired — and
+//!   drops the engine: `WarmState::reset` makes the next cell spawn a
+//!   fresh one, so an unwound engine is never probed again.
 //!
 //! Checking wall clocks every word would distort nothing (costs are
 //! simulated cycles, not real time) but would be slow; batching the check

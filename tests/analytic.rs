@@ -10,7 +10,9 @@ use std::path::{Path, PathBuf};
 use gasnub::analytic::TieredSpec;
 use gasnub::core::json::Json;
 use gasnub::core::{Grid, SweepOp};
-use gasnub::machines::{Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, SpawnEngine};
+use gasnub::machines::{
+    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, SpawnEngine,
+};
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -77,7 +79,11 @@ fn agreement_sweep(name: &str, spec: &MachineSpec) -> Vec<Residual> {
     let tiered = TieredSpec::new(spec.clone(), ProbeTier::Auto)
         .unwrap_or_else(|e| panic!("{name}: analytic model must build: {e}"));
     let mut auto = tiered.spawn_engine().unwrap();
+    // The recorder keeps `sim` off the probe memo: `auto` memoizes the
+    // cells it simulates, and the comparison must be against a separate
+    // simulation, not that memo entry.
     let mut sim = spec.spawn_engine().unwrap();
+    sim.set_recorder(Box::new(RingRecorder::new(4)));
     let grid = Grid::quick();
     let mut residuals = Vec::new();
     for op in SweepOp::all() {

@@ -27,9 +27,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gasnub::core::chaos::FaultInjector;
-use gasnub::core::resilient::{ResilientSweep, SweepError};
+use gasnub::core::resilient::{ResilientSweep, SweepError, SweepOutcome};
 use gasnub::core::storage::{self, WriteFaults};
 use gasnub::core::sweep::Grid;
+use gasnub::machines::{Machine, MachineId, MeasureLimits, Measurement, ProbeRequest};
 use gasnub::memsim::rng::run_cases;
 
 fn grid() -> Grid {
@@ -42,6 +43,34 @@ fn grid() -> Grid {
 /// The deterministic synthetic probe every run in this file measures.
 fn model(ws: u64, stride: u64) -> f64 {
     (ws as f64).sqrt() / stride as f64 + 1.0 / 7.0
+}
+
+/// A placeholder engine: every run here measures [`model`] through the
+/// probe closure and never probes the engine.
+struct Stub;
+
+impl Machine for Stub {
+    fn id(&self) -> MachineId {
+        MachineId::Custom
+    }
+    fn clock_mhz(&self) -> f64 {
+        100.0
+    }
+    fn limits(&self) -> MeasureLimits {
+        MeasureLimits::fast()
+    }
+    fn set_limits(&mut self, _limits: MeasureLimits) {}
+    fn probe(&mut self, _req: &ProbeRequest) -> Option<Measurement> {
+        None
+    }
+}
+
+/// Runs (or resumes) the sweep of [`grid`] with `runner`, measuring
+/// [`model`] in every cell.
+fn sweep(runner: ResilientSweep) -> Result<SweepOutcome, SweepError> {
+    runner.run_parallel("t", &grid(), 1, &|| Stub, |_: &mut Stub, ws, s| {
+        Some(model(ws, s))
+    })
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -62,9 +91,7 @@ fn reference_bytes() -> Vec<u8> {
         .get_or_init(|| {
             let path = scratch("reference");
             let _ = std::fs::remove_file(&path);
-            ResilientSweep::new(&path)
-                .with_fsync(false)
-                .run("t", &grid(), |ws, s| Some(model(ws, s)))
+            sweep(ResilientSweep::new(&path).with_fsync(false))
                 .expect("the undisturbed run must succeed");
             let bytes = std::fs::read(&path).unwrap();
             let _ = std::fs::remove_file(&path);
@@ -111,11 +138,12 @@ fn write_chaos_converges_or_names_the_error() {
         // Phase 1: an interrupted sweep (random cell cap) with every write
         // passing through the injector. Success and checkpoint errors are
         // both legal outcomes; anything else is a property violation.
-        let chaotic = ResilientSweep::new(&path)
-            .with_fsync(false)
-            .with_max_cells(max_cells)
-            .with_write_faults(faults)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)));
+        let chaotic = sweep(
+            ResilientSweep::new(&path)
+                .with_fsync(false)
+                .with_max_cells(max_cells)
+                .with_write_faults(faults),
+        );
         match &chaotic {
             Ok(_) | Err(SweepError::Checkpoint(_)) => {}
             Err(other) => fail_case(
@@ -130,10 +158,11 @@ fn write_chaos_converges_or_names_the_error() {
         // Whatever the injector left behind — a good checkpoint, a torn
         // tail, a flipped bit, or nothing — the healed run finishes and its
         // checkpoint is byte-identical to the undisturbed reference.
-        let healed = ResilientSweep::new(&path)
-            .with_fsync(false)
-            .with_force_restart(true)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)));
+        let healed = sweep(
+            ResilientSweep::new(&path)
+                .with_fsync(false)
+                .with_force_restart(true),
+        );
         let outcome = match healed {
             Ok(outcome) => outcome,
             Err(e) => fail_case(
@@ -202,9 +231,7 @@ fn read_chaos_is_detected_never_silently_resurveyed() {
         let changed = bytes != reference;
         std::fs::write(&path, &bytes).unwrap();
 
-        let resumed = ResilientSweep::new(&path)
-            .with_fsync(false)
-            .run("t", &grid(), |ws, s| Some(model(ws, s)));
+        let resumed = sweep(ResilientSweep::new(&path).with_fsync(false));
         match resumed {
             Ok(outcome) => {
                 // Only an unchanged file may resume — and then it resumes
@@ -242,10 +269,11 @@ fn read_chaos_is_detected_never_silently_resurveyed() {
                         &format!("corruption surfaced as a non-recoverable error: {ck}"),
                     );
                 }
-                let healed = ResilientSweep::new(&path)
-                    .with_fsync(false)
-                    .with_force_restart(true)
-                    .run("t", &grid(), |ws, s| Some(model(ws, s)));
+                let healed = sweep(
+                    ResilientSweep::new(&path)
+                        .with_fsync(false)
+                        .with_force_restart(true),
+                );
                 match healed {
                     Ok(outcome) if outcome.is_complete() => {
                         let final_bytes = std::fs::read(&path).unwrap();
