@@ -1,8 +1,7 @@
 //! Ablation studies: the design choices the paper credits, switched off.
 //!
-//! Each ablation returns `(with, without)` bandwidth pairs so the harness
-//! (and the `ablations` Criterion bench) can print the effect of the
-//! mechanism alone.
+//! Each ablation returns `(with, without)` bandwidth pairs so
+//! `gasnub figures ablations` can print the effect of the mechanism alone.
 
 use gasnub_machines::{
     Ablation as Overlay, Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest,

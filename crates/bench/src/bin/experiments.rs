@@ -255,8 +255,7 @@ fn main() {
     println!("Wall times vary with the host; the identity column does not. The speedup");
     println!("scales with available cores (a single-core host reports ~1.00x by");
     println!("construction — the pool degenerates to the sequential loop). Reproduce");
-    println!("with `cargo bench -p gasnub-bench --bench sweep_parallel` or");
-    println!("`gasnub sweep t3d deposit --checkpoint x.json --threads 0`.");
+    println!("with `gasnub sweep t3d deposit --checkpoint x.json --threads 0`.");
     println!();
 
     // ---------------------------------------------------------------- 6
@@ -612,28 +611,7 @@ fn main() {
     println!("the p50 request rides the memo or the payload cache. The serving layer");
     println!("deliberately counts at the request boundary (atomics) instead of");
     println!("installing recorders on the engines \u{2014} recorders disable the probe memo,");
-    println!("so an observed server would serve every probe cold. The regression gate:");
-    println!("`serve_load --check BENCH_9.json` re-measures the offline warm columns");
-    println!("and fails if any drops >20% below BENCH_9 (the committed BENCH_10 warm");
-    let t3d = |bench: &gasnub_core::json::Json, key: &str| -> String {
-        let v = bench
-            .get("machines")
-            .and_then(|m| m.get("t3d"))
-            .and_then(|m| m.get(key));
-        v.and_then(|v| v.as_str())
-            .expect("t3d warm column present")
-            .to_string()
-    };
-    println!(
-        "columns sit within the envelope: e.g. t3d warm-first {} vs {}",
-        t3d(&serve_bench, "warm_first_cells_per_sec_1t"),
-        t3d(&bench, "warm_first_cells_per_sec_1t")
-    );
-    println!(
-        "cells/s, memoized {} vs {}).",
-        t3d(&serve_bench, "warm_memo_cells_per_sec_1t"),
-        t3d(&bench, "warm_memo_cells_per_sec_1t")
-    );
+    println!("so an observed server would serve every probe cold.");
     println!();
 
     // ---------------------------------------------------------------- 11

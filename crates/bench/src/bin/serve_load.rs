@@ -1,11 +1,8 @@
 //! Load-tests the characterization server and records BENCH_10
 //! (`BENCH_10.json`): serving throughput and latency percentiles under a
-//! seeded mixed hit/miss request stream, plus the BENCH_9-comparable
-//! offline warm-path columns so the serving PR's perf gate can prove the
-//! warm sweep path did not regress.
+//! seeded mixed hit/miss request stream.
 //!
-//! Usage: `serve_load [--clients N] [--requests N] [--quick]
-//!         [--check BASELINE.json] [OUT.json]`
+//! Usage: `serve_load [--clients N] [--requests N] [--quick] [OUT.json]`
 //!
 //! The server runs in-process on an ephemeral port with a scratch state
 //! directory. Each client thread replays a seeded stream of requests —
@@ -13,10 +10,9 @@
 //! (cache hits and coalesces after the first), and a trickle of
 //! unique-grid sweeps (guaranteed misses) — and records one wall-clock
 //! latency per request. Percentiles are computed over the merged stream.
-//!
-//! `--check` compares the fresh offline warm columns against a committed
-//! BENCH_9 baseline and exits non-zero when one drops more than 20% below
-//! it (same floor and retry discipline as `perf_baseline --check`).
+//! Every request must return 200, and the `/metrics` and shutdown-report
+//! counters must agree; either failure panics. The offline warm-path
+//! columns are `perf_baseline`'s to record and gate.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,21 +20,8 @@ use std::time::Instant;
 
 use gasnub_bench::SERVE_MIX_TENTHS;
 use gasnub_core::json::Json;
-use gasnub_core::{Grid, ResilientSweep, SweepOp};
-use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
 use gasnub_memsim::rng::Rng;
 use gasnub_serve::{ServeConfig, Server};
-
-/// The perf gate: fail `--check` when a guarded warm column drops below
-/// this fraction of the committed baseline.
-const CHECK_FLOOR: f64 = 0.8;
-
-/// The offline columns the serving PR must not regress.
-const GUARDED: [&str; 2] = ["warm_first_cells_per_sec_1t", "warm_memo_cells_per_sec_1t"];
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("gasnub-serve-load-{}-{tag}", std::process::id()))
-}
 
 /// One HTTP/1.1 request over a fresh connection; returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -118,7 +101,8 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
 /// Runs the load phase: boots the server, fans out `clients` threads
 /// replaying `requests` seeded requests each, merges latencies.
 fn load_phase(clients: u64, requests: u64) -> Json {
-    let state_dir = scratch("state");
+    let state_dir =
+        std::env::temp_dir().join(format!("gasnub-serve-load-{}-state", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_dir);
     let server = Server::bind(ServeConfig::new("127.0.0.1:0", &state_dir)).expect("server binds");
     let addr = server.local_addr();
@@ -202,117 +186,9 @@ fn load_phase(clients: u64, requests: u64) -> Json {
     ])
 }
 
-/// One complete 1-thread resilient sweep; returns cells/sec (the BENCH_9
-/// definition: default runner, checkpoint write per cell, fsync batched).
-fn sweep_rate(spec: &MachineSpec, grid: &Grid) -> f64 {
-    let path = scratch("offline.json");
-    let _ = std::fs::remove_file(&path);
-    let start = Instant::now();
-    let probe = |m: &mut TransferEngine, ws: u64, s: u64| SweepOp::LocalLoad.measure(m, ws, s);
-    let outcome = ResilientSweep::new(&path)
-        .run_parallel("serve-load offline reference", grid, 1, spec, probe)
-        .expect("the offline sweep must succeed");
-    let secs = start.elapsed().as_secs_f64();
-    assert!(outcome.is_complete(), "the offline sweep must complete");
-    let _ = std::fs::remove_file(&path);
-    grid.cells() as f64 / secs
-}
-
-fn best_rate(rounds: u32, spec: &MachineSpec, grid: &Grid, prep: impl Fn()) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..rounds {
-        prep();
-        best = best.max(sweep_rate(spec, grid));
-    }
-    best
-}
-
-/// The BENCH_9-comparable offline warm columns, re-measured so `--check`
-/// can prove the serving layer left the warm sweep path intact.
-fn offline_columns(grid: &Grid) -> Json {
-    let warm_fresh = || {
-        gasnub_memsim::set_cold_path(false);
-        gasnub_machines::memo::clear();
-    };
-    let warm_memo = || gasnub_memsim::set_cold_path(false);
-    let mut machines = std::collections::BTreeMap::new();
-    for (label, spec) in [
-        ("dec8400", MachineSpec::dec8400()),
-        ("t3d", MachineSpec::t3d()),
-        ("t3e", MachineSpec::t3e()),
-    ] {
-        let spec = spec.with_limits(MeasureLimits::fast());
-        eprintln!("offline: measuring {label} ({} cells) ...", grid.cells());
-        // More rounds than perf_baseline uses: a memoized sweep of this
-        // grid takes single-digit milliseconds, so the best-of statistic
-        // needs a bigger sample to shake off scheduler noise before the
-        // 20%-of-BENCH_9 gate judges it.
-        let warm_first = best_rate(6, &spec, grid, warm_fresh);
-        // The memo is populated by the warm-first rounds; these rounds are
-        // all steady-state hits.
-        let memoized = best_rate(10, &spec, grid, warm_memo);
-        machines.insert(
-            label.to_string(),
-            Json::object([
-                (
-                    "warm_first_cells_per_sec_1t",
-                    Json::Str(format!("{warm_first:.1}")),
-                ),
-                (
-                    "warm_memo_cells_per_sec_1t",
-                    Json::Str(format!("{memoized:.1}")),
-                ),
-            ]),
-        );
-    }
-    Json::Object(machines)
-}
-
-/// Compares fresh offline columns against a committed BENCH_9 baseline;
-/// returns the number of guarded columns below [`CHECK_FLOOR`].
-fn check_against(machines: &Json, baseline_path: &str) -> usize {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("serve-check: no baseline at {baseline_path}; skipping (warn-only first run)");
-        return 0;
-    };
-    let Ok(baseline) = Json::parse(&text) else {
-        eprintln!("serve-check: baseline {baseline_path} is not valid JSON; skipping");
-        return 0;
-    };
-    let column = |doc: &Json, machine: &str, key: &str| -> Option<f64> {
-        doc.get(machine)?.get(key)?.as_str()?.parse().ok()
-    };
-    let mut regressions = 0;
-    for machine in MACHINES {
-        for key in GUARDED {
-            let was = baseline
-                .get("machines")
-                .and_then(|m| column(m, machine, key));
-            let now = column(machines, machine, key);
-            let (Some(was), Some(now)) = (was, now) else {
-                eprintln!("serve-check: {machine}.{key} missing; skipping");
-                continue;
-            };
-            let floor = was * CHECK_FLOOR;
-            if now < floor {
-                eprintln!(
-                    "serve-check: REGRESSION {machine}.{key}: {now:.1} < {floor:.1} \
-                     (baseline {was:.1}, floor {:.0}%)",
-                    CHECK_FLOOR * 100.0
-                );
-                regressions += 1;
-            } else {
-                eprintln!("serve-check: ok {machine}.{key}: {now:.1} vs baseline {was:.1}");
-            }
-        }
-    }
-    regressions
-}
-
 fn main() {
     let mut clients = 4u64;
     let mut requests = 150u64;
-    let mut check: Option<String> = None;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -333,56 +209,17 @@ fn main() {
                 clients = 2;
                 requests = 25;
             }
-            "--check" => check = Some(args.next().expect("--check needs a baseline path")),
-            other => out = Some(other.to_string()),
-        }
-    }
-
-    let grid = Grid::quick();
-    let serve = load_phase(clients, requests);
-    let mut machines = offline_columns(&grid);
-
-    if let Some(baseline) = &check {
-        // Best-of-N absorbs most host noise; a real regression is stable,
-        // noise is not — re-measure a failing check up to twice.
-        let mut regressions = check_against(&machines, baseline);
-        for attempt in 0..2 {
-            if regressions == 0 {
-                break;
+            flag if flag.starts_with("--") => {
+                eprintln!("serve_load: unknown flag {flag}");
+                std::process::exit(2);
             }
-            eprintln!(
-                "serve-check: {regressions} regression(s); re-measuring (retry {})",
-                attempt + 1
-            );
-            machines = offline_columns(&grid);
-            regressions = check_against(&machines, baseline);
+            path => out = Some(path.to_string()),
         }
-        if regressions > 0 {
-            eprintln!("serve-check: {regressions} regression(s) after retries");
-            std::process::exit(1);
-        }
-        eprintln!("serve-check: pass");
     }
 
     let report = Json::object([
         ("bench", Json::U64(10)),
-        (
-            "grid",
-            Json::object([
-                ("cells", Json::U64(grid.cells() as u64)),
-                (
-                    "strides",
-                    Json::Array(grid.strides.iter().map(|&s| Json::U64(s)).collect()),
-                ),
-                (
-                    "working_sets",
-                    Json::Array(grid.working_sets.iter().map(|&w| Json::U64(w)).collect()),
-                ),
-            ]),
-        ),
-        ("threads", Json::U64(1)),
-        ("serve", serve),
-        ("machines", machines),
+        ("serve", load_phase(clients, requests)),
     ]);
     let rendered = format!("{}\n", report.render());
     match out {

@@ -7,8 +7,11 @@
 //! `DESIGN.md`. Each [`Figure`] renders the same rows/series the paper
 //! reports, as an aligned text table plus CSV.
 //!
-//! Run `cargo run -p gasnub-bench --bin figures -- list` for the index, or
-//! `… -- all --quick` to regenerate everything on reduced grids.
+//! Run `gasnub figures list` for the index, or `gasnub figures all --quick`
+//! to regenerate everything on reduced grids. The crate's binaries record
+//! the committed baselines: `experiments` (`EXPERIMENTS.md`),
+//! `perf_baseline` (`BENCH_9.json`, and the CI throughput gate) and
+//! `serve_load` (`BENCH_10.json`).
 
 pub mod ablations;
 pub mod extras;

@@ -3,6 +3,7 @@
 //! ```text
 //! gasnub figures list
 //! gasnub figures fig15 --quick
+//! gasnub figures all extras ablations --csv results > results/all_figures.txt
 //! gasnub compare
 //! gasnub fft 512
 //! gasnub scale t3d 2048 512
@@ -16,10 +17,10 @@
 //! malformed numeric argument) prints a message to stderr and exits with
 //! code 2; the tool never panics on bad input.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use gasnub::analytic::TieredSpec;
-use gasnub::core::compare::Comparison;
 use gasnub::core::counters::collect_counters;
 use gasnub::core::json::Json;
 use gasnub::core::{auto_threads, run_indexed, Grid, ResilientSweep, SweepOp};
@@ -37,7 +38,10 @@ fn usage() -> ! {
          machines [--check]                      list every resolvable machine (built-in\n\
          \x20                                        + machines/zoo specs; --check builds\n\
          \x20                                        and smoke-probes each one)\n\
-         figures <list|all|figNN...> [--quick]   regenerate paper figures\n\
+         figures <list|all|ablations|extras|figNN...>\n\
+         \x20       [--quick] [--csv DIR]            regenerate paper figures (--quick:\n\
+         \x20                                        reduced grids; --csv also writes\n\
+         \x20                                        DIR/<figNN>.csv)\n\
          compare                                 the §9 cross-machine table\n\
          fft [n]                                 2D-FFT benchmark (figs 15-17) at size n\n\
          scale <t3d|t3e> <n> <npes>              §8 scalability projection\n\
@@ -73,7 +77,7 @@ fn usage() -> ! {
          <machine> is any name `gasnub machines` lists: built-ins plus spec\n\
          files under machines/zoo/ (override the directory with $GASNUB_ZOO)\n\
          \n\
-         (see also: cargo run -p gasnub-bench --bin figures / --bin experiments)"
+         (see also: cargo run -p gasnub-bench --bin experiments)"
     );
     std::process::exit(2);
 }
@@ -611,6 +615,71 @@ fn sweep_cmd(registry: &MachineRegistry, args: &[String]) {
     }
 }
 
+/// Regenerates the paper's figures as text tables on stdout, with
+/// `--csv DIR` also writing one `DIR/<figNN>.csv` per figure; `ablations`
+/// and `extras` add the ablation studies and the exhibits beyond the
+/// paper. Progress goes to stderr, so stdout is the `results/` record.
+fn figures_cmd(args: &[String]) {
+    let (selectors, flags) = split_flags(args, &["csv"], &["quick"]);
+    let selected = |name: &str| selectors.iter().any(|s| s == name);
+    if selectors.is_empty() || selected("list") {
+        for f in gasnub_bench::all_figures() {
+            println!("{:<7} {}\n        expect: {}", f.id, f.title, f.expectation);
+        }
+        return;
+    }
+    let figures = if selected("all") {
+        gasnub_bench::all_figures()
+    } else {
+        selectors
+            .iter()
+            .filter(|s| *s != "ablations" && *s != "extras")
+            .map(|s| {
+                gasnub_bench::figure_by_id(s)
+                    .unwrap_or_else(|| fail(format!("unknown figure {s:?}")))
+            })
+            .collect()
+    };
+    let quick = flag(&flags, "quick").is_some();
+    let csv_dir = flag(&flags, "csv").map(PathBuf::from);
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
+    }
+
+    for f in figures {
+        eprintln!("[{}] {} …", f.id, f.title);
+        let out = f.run(quick);
+        println!("---- {} — {}", f.id, f.title);
+        println!("expectation: {}", f.expectation);
+        println!("{}", out.text);
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{}.csv", f.id));
+            std::fs::write(&path, &out.csv)
+                .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display())));
+            eprintln!("[{}] wrote {}", f.id, path.display());
+        }
+    }
+
+    if selected("ablations") {
+        use gasnub_bench::ablations;
+        eprintln!("[ablations] running …");
+        println!("---- ablations");
+        println!("{}", ablations::render(&ablations::run_all()));
+    }
+
+    if selected("extras") {
+        use gasnub_bench::extras;
+        eprintln!("[extras] running …");
+        println!("---- extras");
+        println!("{}", extras::comparison_table());
+        println!("{}", extras::gather_curves());
+        println!("{}", extras::fft_scaling(256));
+        println!("{}", extras::t3e_fetch_rewrite(256));
+        println!("{}", extras::false_sharing());
+    }
+}
+
 /// Lists every resolvable machine; with `--check`, also parses, builds and
 /// smoke-probes each one (the CI gate for `machines/zoo/`). Broken zoo
 /// files and failed checks exit 2 like every other usage error.
@@ -769,47 +838,8 @@ fn main() {
 
     match command.as_str() {
         "machines" => machines_cmd(&registry, &args[1..]),
-        "figures" => {
-            // Delegate to the bench harness logic by shelling through its
-            // library API.
-            let quick = args.iter().any(|a| a == "--quick");
-            let rest: Vec<&String> = args
-                .iter()
-                .skip(1)
-                .filter(|a| !a.starts_with("--"))
-                .collect();
-            if rest.iter().any(|s| s.as_str() == "list") || rest.is_empty() {
-                for f in gasnub_bench_figures() {
-                    println!("{:<7} {}", f.0, f.1);
-                }
-                return;
-            }
-            for sel in rest {
-                let figures = if sel == "all" {
-                    gasnub_bench_run_all(quick)
-                } else {
-                    vec![gasnub_bench_run_one(sel, quick)
-                        .unwrap_or_else(|| fail(format!("unknown figure {sel:?}")))]
-                };
-                for (id, title, text) in figures {
-                    println!("---- {id} — {title}\n{text}");
-                }
-            }
-        }
-        "compare" => {
-            // The paper's table: always the three built-in machines, so a
-            // zoo file shadowing one of them cannot change it.
-            let mut machines: Vec<Box<dyn Machine>> = MachineRegistry::builtin()
-                .paper_specs()
-                .map(|spec| -> Box<dyn Machine> {
-                    let spec = spec.clone().with_limits(MeasureLimits::fast());
-                    Box::new(spec.build().unwrap_or_else(|e| fail(e)))
-                })
-                .collect();
-            let c = Comparison::measure(&mut machines, 32 << 20);
-            println!("Cross-machine summary, 32 MB working sets (MB/s):\n");
-            println!("{}", c.render());
-        }
+        "figures" => figures_cmd(&args[1..]),
+        "compare" => println!("{}", gasnub_bench::extras::comparison_table()),
         "fft" => {
             let n: usize = match args.get(1) {
                 None => 256,
@@ -868,29 +898,4 @@ fn main() {
         "serve" => serve_cmd(&args[1..]),
         _ => usage(),
     }
-}
-
-// Thin wrappers so the binary does not need gasnub-bench as a public
-// dependency of the facade library (it is a dev-style tool dependency).
-fn gasnub_bench_figures() -> Vec<(&'static str, &'static str)> {
-    gasnub_bench::all_figures()
-        .into_iter()
-        .map(|f| (f.id, f.title))
-        .collect()
-}
-
-fn gasnub_bench_run_all(quick: bool) -> Vec<(&'static str, &'static str, String)> {
-    gasnub_bench::all_figures()
-        .into_iter()
-        .map(|f| {
-            let out = f.run(quick);
-            (f.id, f.title, out.text)
-        })
-        .collect()
-}
-
-fn gasnub_bench_run_one(id: &str, quick: bool) -> Option<(&'static str, &'static str, String)> {
-    let f = gasnub_bench::figure_by_id(id)?;
-    let out = f.run(quick);
-    Some((f.id, f.title, out.text))
 }

@@ -35,6 +35,8 @@ fn bad_invocations_exit_2_without_panicking() {
     assert_usage_error(&[]);
     assert_usage_error(&["frobnicate"]);
     assert_usage_error(&["figures", "fig99"]);
+    assert_usage_error(&["figures", "--csv"]); // missing directory
+    assert_usage_error(&["figures", "fig03", "--bogus"]);
     assert_usage_error(&["fft", "banana"]);
     assert_usage_error(&["scale", "t3d", "many", "512"]);
     assert_usage_error(&["scale", "paragon", "512", "512"]);
@@ -123,6 +125,38 @@ fn unknown_machine_errors_enumerate_the_registry() {
             );
         }
     }
+}
+
+#[test]
+fn figures_list_prints_every_figure_id() {
+    let out = gasnub(&["figures", "list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter(|l| !l.starts_with(' '))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let expected: Vec<String> = (1..=17).map(|n| format!("fig{n:02}")).collect();
+    assert_eq!(ids, expected, "{stdout}");
+}
+
+#[test]
+fn figures_csv_matches_the_library_and_prints_the_expectation() {
+    let dir = std::env::temp_dir().join(format!("gasnub-cli-figures-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let csv_dir = dir.to_str().expect("temp dir is UTF-8");
+    let out = gasnub(&["figures", "fig03", "--quick", "--csv", csv_dir]);
+    let csv = std::fs::read_to_string(dir.join("fig03.csv"));
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let fig = gasnub_bench::figure_by_id("fig03").expect("fig03 exists");
+    assert_eq!(csv.expect("fig03.csv is written"), fig.run(true).csv);
+    assert!(
+        stdout.contains(&format!("\nexpectation: {}\n", fig.expectation)),
+        "{stdout}"
+    );
 }
 
 #[test]
