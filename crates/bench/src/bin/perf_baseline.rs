@@ -16,11 +16,15 @@
 //! * **analytic** — the `--tier auto` fast path on its calibration-trusted
 //!   cells, measured at probe level on a pre-calibrated model (no runner,
 //!   no checkpoint IO: the column isolates the model's answer cost, which
-//!   a per-cell checkpoint write would otherwise dominate).
+//!   the runner's checkpoint saves would otherwise dominate).
+//!
+//! The sweep columns run the default runner, which saves the checkpoint
+//! durably after every 16th cell and once at the end (a killed run loses
+//! at most 15 cells).
 //!
 //! Plus golden-trace overhead (a `RingRecorder` per probe, which also
 //! bypasses the memo — genuine recomputation), checkpoint-write costs
-//! (fsync per write, none, and the batched default), and a thread-pool
+//! (fsync per write, none, and one fsync in 16 writes), and a thread-pool
 //! micro-benchmark (per-item vs chunked claiming) for the scheduling layer.
 //!
 //! Usage: `perf_baseline [--check BASELINE.json] [OUT.json]`
@@ -53,8 +57,8 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// One complete resilient sweep of `grid` on a fresh checkpoint; returns
-/// cells/sec through the default runner (checkpoint write per cell, fsync
-/// batched).
+/// cells/sec through the default runner (a durable checkpoint save per 16
+/// cells and one at the end).
 fn sweep_rate<P>(spec: &MachineSpec, grid: &Grid, threads: usize, probe: P) -> f64
 where
     P: Fn(&mut TransferEngine, u64, u64) -> Option<f64> + Sync,
@@ -140,8 +144,8 @@ fn analytic_rate(spec: &MachineSpec, grid: &Grid) -> (f64, usize) {
 }
 
 /// Mean microseconds per checkpoint write of `payload`. `fsync_every = 0`
-/// disables fsync entirely; `1` syncs every write; `n` syncs every nth
-/// (the batched default path).
+/// disables fsync entirely; `1` syncs every write (the runner's own
+/// cadence); `n` syncs every nth write.
 fn write_micros(payload: &str, fsync_every: u64) -> f64 {
     let path = scratch(&format!("write-{fsync_every}"));
     let rounds = 64u64;

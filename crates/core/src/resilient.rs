@@ -7,13 +7,15 @@
 //! panic or hang, and a long sweep can outlive a batch-queue time slot.
 //! This runner makes the sweep loop of [`crate::bench`] robust:
 //!
-//! * **Durable checkpointing** — after every attempted cell the partial
-//!   surface is written through [`crate::storage`]: atomically (temp file +
-//!   rename) and with a CRC32 checksum footer, so a torn or bit-rotted
-//!   file is *detected*, never silently treated as empty. Fsyncs are
-//!   batched ([`ResilientSweep::with_fsync_every`]): the final write of a
-//!   run always syncs, so a completed run is fully durable, and an OS
-//!   crash mid-run costs at most the last batch of cells.
+//! * **Durable checkpointing** — after every `n`-th attempted cell
+//!   ([`ResilientSweep::with_fsync_every`], default 16) and once at the end
+//!   of a run, the partial surface is written through [`crate::storage`]:
+//!   fsynced, atomically renamed into place (temp file + rename) and sealed
+//!   with a CRC32 checksum footer, so a torn or bit-rotted file is
+//!   *detected*, never silently treated as empty. A run that returns —
+//!   complete, capped, out of budget or stopped by a spawn failure — leaves
+//!   every finished cell durable; a killed process or an OS crash loses at
+//!   most the last `n - 1` cells, which resume re-measures.
 //! * **Resume** — re-running with the same checkpoint path verifies the
 //!   file's integrity and identity (schema version, title, grid axes),
 //!   skips every cell already recorded, and produces a surface
@@ -58,9 +60,9 @@ use crate::sweep::{run_cells, Grid};
 /// The checkpoint schema version this binary reads and writes.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Default checkpoint fsync batch ([`ResilientSweep::with_fsync_every`]):
-/// every cell's write is still atomically renamed into place, but only one
-/// write in this many — plus the final write of a run — pays the fsync.
+/// Default checkpoint batch ([`ResilientSweep::with_fsync_every`]): the
+/// checkpoint is written, fsynced and renamed into place after every this
+/// many completed cells, plus once at the end of a run.
 pub const FSYNC_BATCH_DEFAULT: u64 = 16;
 
 /// Why a sweep run failed outright (as opposed to individual cells, which
@@ -287,24 +289,27 @@ impl ResilientSweep {
 
     /// Whether checkpoint writes fsync before renaming (default `true`).
     /// Turning it off trades crash-durability for write latency — the
-    /// checksum footer still catches the resulting torn files.
+    /// checksum footer still catches the resulting torn files. The write
+    /// cadence ([`ResilientSweep::with_fsync_every`]) is the same either
+    /// way.
     pub fn with_fsync(mut self, fsync: bool) -> Self {
         self.fsync = fsync;
         self
     }
 
-    /// Batches checkpoint fsyncs: the checkpoint is still *written* (and
-    /// atomically renamed) after every cell, but only every `n`-th write —
-    /// and always the last write of a run — pays the fsync. On small sweeps
-    /// the fsync dominates the per-cell cost, so batching buys most of the
-    /// warm path's checkpoint speedup while keeping the durability
-    /// guarantee that matters: a completed (or budget-expired) run is fully
-    /// durable on return. A crash mid-run can lose at most the last `n - 1`
-    /// cells of progress to the page cache; a torn rename is still caught
-    /// by the checksum footer and re-measured on resume.
+    /// Batches checkpoint saves: the checkpoint is written — rendered,
+    /// fsynced and atomically renamed — after every `n`-th completed cell,
+    /// and once more at the end of a run whenever cells finished since the
+    /// last save. Rendering and renaming the whole surface per cell would
+    /// dominate the cost of memoized cells; batching avoids that and keeps
+    /// the durability guarantee that matters: a run that returns (complete,
+    /// capped, out of budget, or stopped by a spawn failure) has every
+    /// finished cell durable. A killed process or an OS crash mid-run
+    /// loses at most the last `n - 1` cells, which resume re-measures; a
+    /// torn rename is still caught by the checksum footer.
     ///
-    /// `n` is clamped to at least 1; `with_fsync_every(1)` restores the
-    /// fsync-per-cell behavior. The default is [`FSYNC_BATCH_DEFAULT`].
+    /// `n` is clamped to at least 1; `with_fsync_every(1)` saves after
+    /// every cell. The default is [`FSYNC_BATCH_DEFAULT`].
     pub fn with_fsync_every(mut self, n: u64) -> Self {
         self.fsync_every = n.max(1);
         self
@@ -340,7 +345,9 @@ impl ResilientSweep {
     /// engine ([`gasnub_machines::WarmState`]), re-spawned only after an
     /// unwound probe. `probe` returns the cell's bandwidth in MB/s, or
     /// `None` when the operation is unsupported on this machine (recorded
-    /// as failed). The checkpoint is rewritten after every attempted cell.
+    /// as failed). The checkpoint is saved durably after every `n`-th
+    /// attempted cell ([`ResilientSweep::with_fsync_every`]) and once at the
+    /// end, so a killed run loses at most `n - 1` cells.
     ///
     /// Because every probe starts from the flushed (≡ just-constructed)
     /// engine state and each probe is deterministic, the outcome — surface
@@ -360,8 +367,9 @@ impl ResilientSweep {
     /// Returns [`SweepError::Checkpoint`] when an existing checkpoint fails
     /// verification (corrupt bytes, wrong schema version, foreign
     /// title/grid) or cannot be read or written, and [`SweepError::Spawn`]
-    /// when `spawner` fails — a spawn failure stops the sweep (the
-    /// checkpoint keeps all cells finished before the failure).
+    /// when `spawner` fails — a spawn failure stops the sweep, after the
+    /// checkpoint is saved with every cell finished before the failure (a
+    /// failed save then returns its [`SweepError::Checkpoint`] instead).
     pub fn run_parallel<S, P>(
         &self,
         title: &str,
@@ -396,7 +404,9 @@ impl ResilientSweep {
             Some(b) => CancelToken::with_deadline(b),
             None => CancelToken::new(),
         };
-        let saves = AtomicU64::new(0);
+        // Cells recorded since the last save; touched only under the state
+        // lock.
+        let unsaved = AtomicU64::new(0);
 
         let slots = run_cells(threads, attempt, &claim, |warm, ws, stride| {
             let attempted = self.attempt(warm, spawner, &probe, &claim, ws, stride);
@@ -414,10 +424,13 @@ impl ResilientSweep {
             let mut rc = lock_or_recover(&counters);
             record_verdict(&mut st, &mut rc, (ws, stride), attempts, verdict);
             // Saving under the state lock serializes checkpoint writes (and
-            // keeps the batched-fsync cadence well-defined).
-            let nth = saves.fetch_add(1, Ordering::Relaxed) + 1;
-            match self.save_state(title, grid, &st, self.durable_save(nth)) {
+            // keeps the batch cadence well-defined).
+            if unsaved.fetch_add(1, Ordering::Relaxed) + 1 < self.fsync_every {
+                return Some(());
+            }
+            match self.save_state(title, grid, &st) {
                 Ok(retried) => {
+                    unsaved.store(0, Ordering::Relaxed);
                     if retried {
                         rc.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
                     }
@@ -433,16 +446,22 @@ impl ResilientSweep {
             }
         });
 
-        if let Some(err) = lock_or_recover(&fatal).take() {
+        let fatal = fatal.into_inner().unwrap_or_else(|p| p.into_inner());
+        if let Some(err @ SweepError::Checkpoint(_)) = fatal {
+            return Err(err);
+        }
+        let state = state.into_inner().unwrap_or_else(|p| p.into_inner());
+        let mut counters = counters.into_inner().unwrap_or_else(|p| p.into_inner());
+        // The one end-of-run save: every finished cell is durable on return,
+        // including on the spawn-failure path.
+        if unsaved.into_inner() > 0 && self.save_state(title, grid, &state)? {
+            counters.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
+        }
+        if let Some(err) = fatal {
             return Err(err);
         }
         let measured = slots.iter().flatten().count();
         let pending = capped.len() + slots.len() - measured;
-        let state = state.into_inner().unwrap_or_else(|p| p.into_inner());
-        let mut counters = counters.into_inner().unwrap_or_else(|p| p.into_inner());
-        if self.final_flush(title, grid, &state, saves.into_inner())? {
-            counters.add(robustness::CHECKPOINT_WRITE_RETRIES, 1);
-        }
         Ok(self.outcome(title, grid, state, measured, resumed, pending, counters))
     }
 
@@ -768,55 +787,33 @@ impl ResilientSweep {
         Json::object(fields).render()
     }
 
-    /// Writes the checkpoint (fsyncing when `durable`); one immediate retry
-    /// on failure (the temp+rename discipline makes a retry always safe).
-    /// Returns whether the retry was needed.
+    /// Writes the checkpoint (fsynced unless [`ResilientSweep::with_fsync`]
+    /// turned that off); one immediate retry on failure (the temp+rename
+    /// discipline makes a retry always safe). Returns whether the retry was
+    /// needed.
     fn save_state(
         &self,
         title: &str,
         grid: &Grid,
         state: &SweepState,
-        durable: bool,
     ) -> Result<bool, CheckpointError> {
         let payload = self.render_state(title, grid, state);
-        match self.write_checkpoint(&payload, durable) {
+        match self.write_checkpoint(&payload) {
             Ok(()) => Ok(false),
             Err(_first) => {
-                self.write_checkpoint(&payload, durable)?;
+                self.write_checkpoint(&payload)?;
                 Ok(true)
             }
         }
     }
 
-    /// Whether the `n`-th save of a run (1-based) pays the fsync.
-    fn durable_save(&self, n: u64) -> bool {
-        self.fsync && n.is_multiple_of(self.fsync_every)
-    }
-
-    /// Re-writes the final state durably when the last batched save did not
-    /// fsync, so a completed (or budget-expired) run is fully durable on
-    /// return. Returns whether the write needed a retry.
-    fn final_flush(
-        &self,
-        title: &str,
-        grid: &Grid,
-        state: &SweepState,
-        saves: u64,
-    ) -> Result<bool, CheckpointError> {
-        if self.fsync && saves > 0 && !self.durable_save(saves) {
-            self.save_state(title, grid, state, true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    fn write_checkpoint(&self, payload: &str, durable: bool) -> Result<(), CheckpointError> {
+    fn write_checkpoint(&self, payload: &str) -> Result<(), CheckpointError> {
         match &self.faults {
             Some(faults) => {
                 let mut injector = faults.lock().unwrap_or_else(|p| p.into_inner());
-                storage::write_durable_with(&self.checkpoint, payload, durable, &mut *injector)
+                storage::write_durable_with(&self.checkpoint, payload, self.fsync, &mut *injector)
             }
-            None => storage::write_durable(&self.checkpoint, payload, durable),
+            None => storage::write_durable(&self.checkpoint, payload, self.fsync),
         }
     }
 }
@@ -1282,10 +1279,10 @@ mod tests {
             .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
             .unwrap();
         {
-            // Write 4 syncs, plus the final durable flush (6 % 4 != 0):
-            // one extra write, two fsyncs total instead of six.
+            // A save after cell 4, plus the end-of-run save of cells 5-6:
+            // two durable writes instead of six.
             let c = batched_count.lock().unwrap();
-            assert_eq!((c.writes, c.fsyncs), (cells + 1, 2));
+            assert_eq!((c.writes, c.fsyncs), (2, 2));
         }
         assert_eq!(
             std::fs::read(&per_cell_path).unwrap(),
@@ -1294,7 +1291,7 @@ mod tests {
         );
 
         // Several workers batch on the same cadence: with a batch larger
-        // than the sweep, only the final flush syncs.
+        // than the sweep, only the end-of-run save writes.
         let par_path = scratch("fsync-par");
         let par_count: Arc<Mutex<CountFsyncs>> = Arc::default();
         ResilientSweep::new(&par_path)
@@ -1304,14 +1301,14 @@ mod tests {
             .unwrap();
         {
             let c = par_count.lock().unwrap();
-            assert_eq!((c.writes, c.fsyncs), (cells + 1, 1));
+            assert_eq!((c.writes, c.fsyncs), (1, 1));
         }
         assert_eq!(
             std::fs::read(&per_cell_path).unwrap(),
             std::fs::read(&par_path).unwrap()
         );
 
-        // Disabling fsync entirely also disables the final flush.
+        // Disabling fsync keeps the cadence and drops every fsync.
         let nosync_path = scratch("fsync-off");
         let nosync_count: Arc<Mutex<CountFsyncs>> = Arc::default();
         ResilientSweep::new(&nosync_path)
@@ -1321,8 +1318,12 @@ mod tests {
             .unwrap();
         {
             let c = nosync_count.lock().unwrap();
-            assert_eq!((c.writes, c.fsyncs), (cells, 0));
+            assert_eq!((c.writes, c.fsyncs), (1, 0));
         }
+        assert_eq!(
+            std::fs::read(&per_cell_path).unwrap(),
+            std::fs::read(&nosync_path).unwrap()
+        );
 
         for p in [&per_cell_path, &batched_path, &par_path, &nosync_path] {
             ResilientSweep::new(p).clear_checkpoint().unwrap();
@@ -1342,6 +1343,53 @@ mod tests {
         let got = runner.run_parallel("t", &grid(), 2, &FailingSpawner, stub_probe);
         assert!(matches!(got, Err(SweepError::Spawn(_))));
         runner.clear_checkpoint().unwrap();
+    }
+
+    #[test]
+    fn spawn_failure_keeps_finished_cells() {
+        // Spawns one engine, then fails: the run of stride 1 (both working
+        // sets) finishes before the next run's spawn stops the sweep.
+        struct FailsAfterFirst(AtomicUsize);
+        impl SpawnEngine for FailsAfterFirst {
+            type Engine = Stub;
+            fn spawn_engine(&self) -> Result<Stub, SimError> {
+                if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
+                    Ok(Stub::default())
+                } else {
+                    Err(SimError::malformed("out of engines"))
+                }
+            }
+        }
+        let path = scratch("spawn-fail-keeps");
+        let got = ResilientSweep::new(&path).run_parallel(
+            "t",
+            &grid(),
+            1,
+            &FailsAfterFirst(AtomicUsize::new(0)),
+            stub_probe,
+        );
+        assert!(matches!(got, Err(SweepError::Spawn(_))), "got {got:?}");
+
+        // The checkpoint holds the first run's cells; a resume measures
+        // only the rest, to the bytes of an uninterrupted run.
+        let resumed = ResilientSweep::new(&path)
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
+            .unwrap();
+        let first_run = grid().working_sets.len();
+        assert_eq!(resumed.resumed, first_run);
+        assert_eq!(resumed.measured, grid().cells() - first_run);
+        assert!(resumed.is_complete());
+        let direct = scratch("spawn-fail-direct");
+        ResilientSweep::new(&direct)
+            .run_parallel("t", &grid(), 1, &Stub::default, stub_probe)
+            .unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&direct).unwrap()
+        );
+        for p in [&path, &direct] {
+            ResilientSweep::new(p).clear_checkpoint().unwrap();
+        }
     }
 
     /// The corruption table: every way a checkpoint can be bad

@@ -5,7 +5,8 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 use gasnub_analytic::TieredSpec;
 use gasnub_core::json::Json;
@@ -357,6 +358,11 @@ struct ServerState {
     cache: Mutex<HashMap<String, Arc<String>>>,
     /// Identical requests currently being computed, for coalescing.
     inflight: Mutex<HashMap<String, Arc<Inflight>>>,
+    /// One tiered spawner per `(spec_hash, tier)`, so `auto`/`analytic`
+    /// requests share one analytic model instead of deriving it per
+    /// request. Fault plans force `sim`, so only healthy registry specs
+    /// enter: the map is bounded by the registry size times two tiers.
+    tiered: Mutex<HashMap<(u64, ProbeTier), Arc<TieredSpec>>>,
     stop: AtomicBool,
     /// The bound address, for the self-connect that wakes the accept loop.
     addr: Mutex<Option<SocketAddr>>,
@@ -390,6 +396,28 @@ impl ServerState {
                 .map_err(|e| ApiError::bad_request("bad_request", e.to_string()))?;
         }
         Ok(spec)
+    }
+
+    /// The shared tiered spawner of `spec` at `tier`, built on first use.
+    /// Sharing never changes an answer: anchor values are pure functions
+    /// of the spec (see `AnalyticModel`), which is also why parallel
+    /// sweeps share one calibration.
+    fn tiered_spec(
+        &self,
+        spec: &MachineSpec,
+        tier: ProbeTier,
+    ) -> Result<Arc<TieredSpec>, ApiError> {
+        // Every update is one insert of a finished spawner, so the map is
+        // valid even after a panic elsewhere poisoned the lock.
+        let mut tiered = self.tiered.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = tiered.get(&(spec.spec_hash(), tier)) {
+            return Ok(Arc::clone(hit));
+        }
+        let built = TieredSpec::new(spec.clone(), tier)
+            .map(Arc::new)
+            .map_err(|e| ApiError::internal(format!("tiered spawn failed: {e}")))?;
+        tiered.insert((spec.spec_hash(), tier), Arc::clone(&built));
+        Ok(built)
     }
 
     /// The canonical cache key of one surface: resolved machine label,
@@ -458,9 +486,8 @@ impl ServerState {
                 runner.run_parallel_op(&title, &p.grid, self.threads, spec, p.op)
             }
             tier => {
-                let spawner = TieredSpec::new(spec.clone(), tier)
-                    .map_err(|e| ApiError::internal(format!("tiered spawn failed: {e}")))?;
-                runner.run_parallel_op(&title, &p.grid, self.threads, &spawner, p.op)
+                let spawner = self.tiered_spec(spec, tier)?;
+                runner.run_parallel_op(&title, &p.grid, self.threads, &*spawner, p.op)
             }
         }
         .map_err(|e| ApiError::internal(format!("sweep failed: {e}")))?;
@@ -547,8 +574,9 @@ impl ServerState {
                 p.op.measure(&mut engine, p.ws_bytes, p.stride)
             }
             tier => {
-                let mut machine = TieredSpec::new(spec.clone(), tier)
-                    .and_then(|t| t.spawn_engine())
+                let mut machine = self
+                    .tiered_spec(&spec, tier)?
+                    .spawn_engine()
                     .map_err(|e| ApiError::internal(format!("tiered spawn failed: {e}")))?;
                 p.op.measure(&mut machine, p.ws_bytes, p.stride)
             }
@@ -694,6 +722,14 @@ fn route(state: &ServerState, method: &str, path: &str, body: &[u8]) -> Response
     }
 }
 
+/// How long an accepted connection may sit silent before the server closes
+/// it (keep-alive idle time, or a stalled request), so a quiet peer cannot
+/// hold a connection thread forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long one response write may block on a peer that stops reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Serves one connection: keep-alive request loop, structured errors,
 /// per-request counters.
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
@@ -766,6 +802,7 @@ impl Server {
             robustness: Mutex::new(CounterSet::new()),
             cache: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
+            tiered: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
             addr: Mutex::new(None),
         });
@@ -792,12 +829,22 @@ impl Server {
     ///
     /// Connections are served on one thread each; the loop itself never
     /// touches request state, so a slow sweep cannot stall accepting.
+    /// Accepted sockets send without Nagle delay (`TCP_NODELAY`) and carry
+    /// read and write timeouts (5 s and 10 s), so an idle or stalled peer
+    /// releases its thread.
     pub fn run(self) -> CounterSet {
         for conn in self.listener.incoming() {
             if self.state.stopping() {
                 break;
             }
             let Ok(stream) = conn else { continue };
+            let configured = stream
+                .set_nodelay(true)
+                .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
+                .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
+            if configured.is_err() {
+                continue;
+            }
             self.state.counters.connection();
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || handle_connection(&state, stream));

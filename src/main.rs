@@ -58,8 +58,10 @@ fn usage() -> ! {
          \x20       [--force-restart]                clock; move a corrupt checkpoint to\n\
          \x20       [--cold] [--fsync-every N]       FILE.corrupt and start fresh; --cold\n\
          \x20       [--tier auto|analytic|sim]       disables the warm path (memoized\n\
-         \x20                                        probes + fast priming); fsync the\n\
-         \x20                                        checkpoint every N cells (default 16);\n\
+         \x20                                        probes + fast priming); save and fsync\n\
+         \x20                                        the checkpoint every N cells (default\n\
+         \x20                                        16) and at exit, so a killed run loses\n\
+         \x20                                        at most N-1 cells;\n\
          \x20                                        --tier auto answers calibration-trusted\n\
          \x20                                        cells analytically, simulates the rest\n\
          \x20                                        (default sim; fault plans force sim)\n\

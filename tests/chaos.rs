@@ -136,11 +136,13 @@ fn write_chaos_converges_or_names_the_error() {
         let faults: Arc<Mutex<dyn WriteFaults + Send>> = injector.clone();
 
         // Phase 1: an interrupted sweep (random cell cap) with every write
-        // passing through the injector. Success and checkpoint errors are
-        // both legal outcomes; anything else is a property violation.
+        // passing through the injector. Saving after every cell gives the
+        // injector a write per cell to fault. Success and checkpoint errors
+        // are both legal outcomes; anything else is a property violation.
         let chaotic = sweep(
             ResilientSweep::new(&path)
                 .with_fsync(false)
+                .with_fsync_every(1)
                 .with_max_cells(max_cells)
                 .with_write_faults(faults),
         );

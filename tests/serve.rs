@@ -2,10 +2,11 @@
 //! offline checkpoints, compute-once coalescing, stable error shapes, the
 //! `gasnub serve` binary, and the warm-path counter contract.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use gasnub::core::storage::read_verified;
 use gasnub::serve::{ServeConfig, Server};
@@ -63,6 +64,50 @@ fn http(
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
         .collect();
     (status, headers, body.to_string())
+}
+
+/// One keep-alive request on an open connection: no `Connection` header
+/// (HTTP/1.1 keeps the connection open by default); returns the status and
+/// the `Content-Length` body.
+fn keep_alive_request(
+    reader: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: gasnub\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    reader
+        .get_mut()
+        .write_all(request.as_bytes())
+        .expect("request writes");
+    let mut status_line = String::new();
+    reader
+        .read_line(&mut status_line)
+        .expect("status line reads");
+    let status: u16 = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
+    let mut length = 0usize;
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("header line reads");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().expect("content-length parses");
+            }
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("body reads");
+    (status, String::from_utf8(body).expect("body is UTF-8"))
 }
 
 fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -336,6 +381,81 @@ fn serving_probes_stay_on_the_warm_path() {
     assert!(
         counter(&metrics, "memo.hits") >= 2,
         "repeated served probes must hit the probe memo (warm path): {metrics}"
+    );
+    shutdown(addr);
+}
+
+/// Keep-alive responses leave in one segment on a `TCP_NODELAY` socket, so
+/// sequential requests on one connection never wait on a delayed ACK (about
+/// 40 ms each, which would put 40 probes at 1.6 s or more).
+#[test]
+fn keep_alive_connection_serves_many_requests_without_stall() {
+    let dir = scratch("keepalive");
+    let addr = boot(&dir);
+    let bodies: Vec<String> = [2048u64, 16_384, 131_072, 1_048_576]
+        .iter()
+        .map(|ws| format!(r#"{{"machine":"t3d","op":"load","ws_bytes":{ws},"stride":1}}"#))
+        .collect();
+    // Fresh-connection answers first; they also fill the probe memo, so the
+    // timed session measures the wire, not the simulator.
+    let fresh: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let (status, _, response) = http(addr, "POST", "/v1/probe", body);
+            assert_eq!(status, 200, "probe must succeed: {response}");
+            response
+        })
+        .collect();
+
+    let stream = TcpStream::connect(addr).expect("server accepts connections");
+    stream.set_nodelay(true).expect("client sets TCP_NODELAY");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client sets a read timeout");
+    let mut reader = BufReader::new(stream);
+    let start = Instant::now();
+    for i in 0..40 {
+        let (status, response) =
+            keep_alive_request(&mut reader, "POST", "/v1/probe", &bodies[i % bodies.len()]);
+        assert_eq!(status, 200, "probe {i} must succeed: {response}");
+        assert_eq!(
+            response,
+            fresh[i % bodies.len()],
+            "keep-alive probe {i} must match the fresh-connection answer"
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 keep-alive probes took {elapsed:?}: responses are stalling"
+    );
+    shutdown(addr);
+}
+
+/// A keep-alive peer that goes quiet is closed by the server's read
+/// timeout, releasing the connection's thread.
+#[test]
+fn idle_keep_alive_connections_are_closed() {
+    let dir = scratch("idle");
+    let addr = boot(&dir);
+    let stream = TcpStream::connect(addr).expect("server accepts connections");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("client sets a read timeout");
+    let mut reader = BufReader::new(stream);
+    let (status, _) = keep_alive_request(&mut reader, "GET", "/v1/status", "");
+    assert_eq!(status, 200);
+    let idle = Instant::now();
+    let mut rest = Vec::new();
+    let read = reader.read_to_end(&mut rest);
+    assert!(
+        matches!(read, Ok(0)),
+        "the server must close an idle connection cleanly, got {read:?} after {:?}",
+        idle.elapsed()
+    );
+    assert!(
+        idle.elapsed() < Duration::from_secs(30),
+        "the idle close must come from the server's timeout"
     );
     shutdown(addr);
 }
