@@ -24,8 +24,8 @@
 //! ([`gasnub_machines::ProbeRequest`]): the `auto` tier answers trusted
 //! cells analytically and simulates the rest; `analytic` forces the model
 //! everywhere (validation); `sim` is bit-compatible with pre-tier
-//! behavior. Fault plans, enabled recorders and the `--cold` escape hatch
-//! always route to the simulator.
+//! behavior. Fault plans and enabled recorders always route to the
+//! simulator; `--cold` changes how the simulator runs, not the route.
 //!
 //! ```rust
 //! use gasnub_analytic::TieredSpec;

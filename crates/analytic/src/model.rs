@@ -288,7 +288,7 @@ impl AnalyticModel {
         let mut state = match self.cal.lock() {
             Ok(g) => g,
             // Anchor probes cannot tear the map (single insert per probe);
-            // recover like the process-wide memo does.
+            // recover like the probe memo does.
             Err(poisoned) => poisoned.into_inner(),
         };
         if let Some(&v) = state.anchors.get(&key) {

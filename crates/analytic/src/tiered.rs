@@ -12,7 +12,9 @@
 //!
 //! Routing is *forced* to simulation whenever probe side effects matter,
 //! regardless of tier: an enabled recorder must observe real component
-//! counters, and the `--cold` escape hatch disables every shortcut. Fault
+//! counters. A spec's run context (memo, `--cold` priming) only decides
+//! how the simulator runs, never which tier answers a cell, so `--cold`
+//! gives the same answers at every tier. Fault
 //! plans are kept out of the analytic path one layer up — the CLI
 //! downgrades the tier to `sim` whenever a plan is active — so a model is
 //! only ever consulted for the healthy installation it calibrated against.
@@ -115,9 +117,9 @@ impl TieredMachine {
     }
 
     /// Routes one (normalised) request. Side effects win over tiers:
-    /// observed or `--cold` probes always simulate.
+    /// observed probes always simulate.
     fn route(&mut self, req: &ProbeRequest) -> Route {
-        if self.sim.recorder_enabled() || gasnub_memsim::cold_path() {
+        if self.sim.recorder_enabled() {
             self.last_path = ProbePath::Simulated;
             return Route::Sim;
         }

@@ -13,7 +13,7 @@ use gasnub_machines::calibration::run_calibration;
 use gasnub_machines::ProbeOp::{LocalLoad, RemoteFetch};
 use gasnub_machines::{
     FaultPlan, Machine, MachineId, MachineSpec, MeasureLimits, ProbePath, ProbeRequest, ProbeTier,
-    SpawnEngine,
+    RunContext, SpawnEngine,
 };
 
 fn human_ws(ws: u64) -> String {
@@ -228,10 +228,11 @@ fn main() {
     println!("|---:|---:|---:|---|");
     let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
     let time_sweep = |threads: usize| {
-        // Both timings are warm-first passes: the probe memo is cleared so
-        // the second run re-simulates instead of replaying the first
-        // (steady-state memo throughput is BENCH_8's column, not this one).
-        gasnub_machines::memo::clear();
+        // Both timings are warm-first passes: each runs in a fresh context
+        // (an empty memo), so the second run re-simulates instead of
+        // replaying the first (steady-state memo throughput is BENCH_9's
+        // column, not this one).
+        let spec = spec.clone().with_context(RunContext::fresh());
         let start = std::time::Instant::now();
         let surface = sweep_surface_par(&spec, SweepOp::RemoteDeposit, &grid, threads)
             .expect("spec builds")
@@ -410,10 +411,11 @@ fn main() {
     println!("## 8. Warm-path sweep throughput (BENCH_9, beyond the paper)");
     println!();
     println!("The warm execution path (DESIGN \u{a7}5e) \u{2014} run-granular scheduling with");
-    println!("engine reuse, a per-process probe memo, and batched checkpoint fsyncs \u{2014}");
-    println!("against the `--cold` path (fresh engine and full simulation per cell,");
-    println!("fsync per write) on the reference `Grid::quick` (25 cells, fast limits),");
-    println!("one thread, this host. Cells/sec, best-of-N, from `BENCH_9.json`");
+    println!("engine reuse, a probe memo, and batched checkpoint fsyncs \u{2014} against");
+    println!("the `--cold` path on the reference `Grid::quick` (25 cells, fast limits),");
+    println!("one thread, this host. `--cold` keeps the scheduler and engine reuse but");
+    println!("runs in a cold run context: no memo and full-statistics priming, so every");
+    println!("cell simulates. Cells/sec, best-of-N, from `BENCH_9.json`");
     println!("(regenerate with `perf_baseline BENCH_9.json`):");
     println!();
     println!("| machine | cold | warm, first pass | warm, memoized | first-pass speedup | memoized speedup |");
@@ -423,16 +425,18 @@ fn main() {
         .ok()
         .and_then(|t| gasnub_core::json::Json::parse(&t).ok())
         .expect("committed BENCH_9.json parses");
+    // One machine's BENCH_9 column, as committed (rate strings verbatim).
+    let column = |name: &str, key: &str| -> String {
+        let value = bench
+            .get("machines")
+            .and_then(|m| m.get(name)?.get(key))
+            .expect("BENCH_9 column present");
+        value
+            .as_str()
+            .map_or_else(|| value.render(), str::to_string)
+    };
     for name in ["dec8400", "t3d", "t3e"] {
-        let col = |key: &str| -> String {
-            bench
-                .get("machines")
-                .and_then(|m| m.get(name))
-                .and_then(|m| m.get(key))
-                .and_then(|v| v.as_str())
-                .expect("BENCH_9 column present")
-                .to_string()
-        };
+        let col = |key: &str| column(name, key);
         println!(
             "| {name} | {} | {} | {} | {}x | {}x |",
             col("cold_cells_per_sec_1t"),
@@ -446,8 +450,8 @@ fn main() {
     println!("Three honest columns, because they answer different questions. *Cold* is");
     println!("the reproducibility anchor \u{2014} what a from-scratch survey costs. *Warm");
     println!("first pass* is the first sweep of a new spec in a process: every cell");
-    println!("still simulates, the gain is engine reuse (the dec8400 spawn alone is");
-    println!("~3 ms of tag-array construction) plus the stats-free measurement path.");
+    println!("still simulates, and the gain over *cold* is the stats-free priming path");
+    println!("(both walk each stride run on one engine).");
     println!("*Warm memoized* is every later pass \u{2014} `faults` and `trace` sessions");
     println!("revisiting grid cells, repeated sweeps in one process \u{2014} where probes");
     println!("are table lookups and throughput is bounded by checkpoint writes, not");
@@ -457,8 +461,8 @@ fn main() {
     println!("orders of magnitude.");
     println!();
     println!("Identity is asserted, not assumed: warm checkpoints are byte-identical");
-    println!("to `--cold` checkpoints at `--threads {{1,2,4}}` on every zoo machine");
-    println!("(`tests/determinism.rs`), and installing a trace recorder bypasses the");
+    println!("to `--cold` checkpoints at `--threads {{1,2,4}}` and at `--tier auto` on");
+    println!("the paper machines (`tests/determinism.rs`), and a recorder bypasses the");
     println!("memo, costing ~3% per probe (the `trace_overhead_pct` column, measured");
     println!("paired at probe level) for a genuine re-simulation. The CI `perf-smoke`");
     println!("job re-measures the warm columns and fails on a >20% drop below the");
@@ -512,28 +516,16 @@ fn main() {
     println!("simulated. The dec8400's three-level hierarchy leaves the widest");
     println!("transition zones, the flat T3D trusts its entire grid minus unsupported");
     println!("rungs, and the modern `numa2s`/`smp16` specs sit in between. Fault");
-    println!("plans, recorders and `--cold` force simulation categorically.");
+    println!("plans and recorders force simulation categorically. `--cold` does not:");
+    println!("it changes how the simulator runs (no memo, full-statistics priming), not");
+    println!("which tier answers a cell, so `--cold --tier auto` writes the same bytes.");
     println!();
     println!("The payoff (`BENCH_9.json`, probe-level on trusted cells, one thread):");
     for name in ["dec8400", "t3d", "t3e"] {
-        let col = |key: &str| -> String {
-            bench
-                .get("machines")
-                .and_then(|m| m.get(name))
-                .and_then(|m| m.get(key))
-                .and_then(|v| v.as_str())
-                .expect("BENCH_9 column present")
-                .to_string()
-        };
-        let trusted = bench
-            .get("machines")
-            .and_then(|m| m.get(name))
-            .and_then(|m| m.get("analytic_trusted_cells"))
-            .map(|v| v.render())
-            .expect("BENCH_9 column present");
+        let col = |key: &str| column(name, key);
         println!(
             "{name} answers {} trusted cells at {} cells/s \u{2014} {}x the memoized",
-            trusted,
+            col("analytic_trusted_cells"),
             col("analytic_cells_per_sec_1t"),
             col("analytic_speedup_vs_memo"),
         );

@@ -5,13 +5,15 @@
 //! analytic fast path (DESIGN §5f), reporting per zoo machine four honest
 //! cells/sec columns:
 //!
-//! * **cold** — `--cold` semantics: fresh simulation per cell, no memo, no
-//!   fast paths; the BENCH_7-comparable number.
-//! * **warm first pass** — the default sweep path on an empty memo table:
-//!   run-granular scheduling, engine reuse across a stride run, stats-free
-//!   priming. Every cell still simulates; this is the honest "first sweep
-//!   of a new spec" speed.
-//! * **warm memoized** — steady state: every cell hits the per-process
+//! * **cold** — `--cold` semantics: a cold run context (no memo,
+//!   full-statistics priming), so every cell simulates; the engine is
+//!   still reused across a stride run and the checkpoint still saved
+//!   every 16 cells, as in a `--cold` sweep.
+//! * **warm first pass** — the default sweep path in a fresh context (an
+//!   empty memo): run-granular scheduling, engine reuse across a stride
+//!   run, stats-free priming. Every cell still simulates; this is the
+//!   honest "first sweep of a new spec" speed.
+//! * **warm memoized** — steady state: every cell hits the context's
 //!   probe memo, as in repeated `faults`/`trace`/`sweep` invocations.
 //! * **analytic** — the `--tier auto` fast path on its calibration-trusted
 //!   cells, measured at probe level on a pre-calibrated model (no runner,
@@ -44,8 +46,8 @@ use gasnub_core::json::Json;
 use gasnub_core::pool::run_indexed_chunked;
 use gasnub_core::{auto_threads, run_indexed, storage, Grid, ResilientSweep, SweepOp};
 use gasnub_machines::{
-    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, SpawnEngine,
-    TransferEngine,
+    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, RunContext,
+    SpawnEngine, TransferEngine,
 };
 
 /// The CI gate: fail `--check` when a guarded column drops below this
@@ -75,17 +77,17 @@ where
     grid.cells() as f64 / secs
 }
 
-/// Best-of-`rounds` sweep rate; `prep` runs before every round (memo
-/// clearing, cold-path toggling). Best-of-N because the gate compares
-/// against a committed baseline: max is the noise-robust statistic for
-/// "how fast can this host go", and more rounds shrink the variance the
-/// 20% floor must absorb.
+/// Best-of-`rounds` sweep rate, each round in the run context `ctx`
+/// returns (a fresh, a cold or one shared memoized context). Best-of-N
+/// because the gate compares against a committed baseline: max is the
+/// noise-robust statistic for "how fast can this host go", and more rounds
+/// shrink the variance the 20% floor must absorb.
 fn best_rate<P>(
     rounds: u32,
     spec: &MachineSpec,
     grid: &Grid,
     threads: usize,
-    prep: impl Fn(),
+    ctx: impl Fn() -> RunContext,
     probe: P,
 ) -> f64
 where
@@ -93,8 +95,8 @@ where
 {
     let mut best = 0.0f64;
     for _ in 0..rounds {
-        prep();
-        best = best.max(sweep_rate(spec, grid, threads, &probe));
+        let spec = spec.clone().with_context(ctx());
+        best = best.max(sweep_rate(&spec, grid, threads, &probe));
     }
     best
 }
@@ -186,13 +188,16 @@ fn reference_payload(grid: &Grid) -> String {
 /// Measured at probe level — no runner, no checkpoint IO — because the
 /// recorder's harvest cost is a small delta that sweep-level disk noise
 /// swamps. Each round walks the whole grid untraced and then traced on
-/// one warm engine (memo cleared before the untraced pass so every probe
-/// is a genuine simulation), and the reported figure is the median
-/// per-round ratio: slow host drift hits both sides of a pair and
-/// cancels, where independent best-of columns would not.
+/// one warm unmemoized engine (so every probe is a genuine simulation),
+/// and the reported figure is the median per-round ratio: slow host drift
+/// hits both sides of a pair and cancels, where independent best-of
+/// columns would not.
 fn trace_overhead_pct(spec: &MachineSpec, grid: &Grid) -> f64 {
     use gasnub_machines::NullRecorder;
-    let mut engine = spec.spawn_engine().expect("zoo machines always build");
+    let unmemoized = spec.clone().with_context(RunContext::unmemoized());
+    let mut engine = unmemoized
+        .spawn_engine()
+        .expect("zoo machines always build");
     let pass = |engine: &mut TransferEngine| {
         let start = Instant::now();
         for &ws in &grid.working_sets {
@@ -204,7 +209,6 @@ fn trace_overhead_pct(spec: &MachineSpec, grid: &Grid) -> f64 {
     };
     let mut ratios = Vec::new();
     for _ in 0..5 {
-        gasnub_machines::memo::clear();
         engine.set_recorder(Box::new(NullRecorder));
         let plain = pass(&mut engine);
         engine.set_recorder(Box::new(RingRecorder::new(64)));
@@ -351,12 +355,6 @@ fn main() {
 /// Measures the full BENCH_9 report for `grid` at the given thread count.
 fn measure_report(grid: &Grid, threads: usize) -> Json {
     let grid = grid.clone();
-    let cold = || gasnub_memsim::set_cold_path(true);
-    let warm_fresh = || {
-        gasnub_memsim::set_cold_path(false);
-        gasnub_machines::memo::clear();
-    };
-    let warm_memo = || gasnub_memsim::set_cold_path(false);
 
     let mut machines = std::collections::BTreeMap::new();
     for (label, spec) in [
@@ -366,27 +364,28 @@ fn measure_report(grid: &Grid, threads: usize) -> Json {
     ] {
         let spec = spec.with_limits(MeasureLimits::fast());
         eprintln!("measuring {label} ({} cells) ...", grid.cells());
+        let (cold, fresh) = (RunContext::cold, RunContext::fresh);
         let cold_1 = best_rate(3, &spec, &grid, 1, cold, plain_probe);
-        let warm_first_1 = best_rate(4, &spec, &grid, 1, warm_fresh, plain_probe);
-        warm_fresh();
-        let trace_1 = best_rate(2, &spec, &grid, 1, warm_fresh, traced_probe);
+        let warm_first_1 = best_rate(4, &spec, &grid, 1, fresh, plain_probe);
+        let trace_1 = best_rate(2, &spec, &grid, 1, fresh, traced_probe);
         let trace_overhead_pct = trace_overhead_pct(&spec, &grid);
-        // The memo is populated by the warm-first rounds above; these
-        // rounds are all steady-state hits.
-        let warm_memo_1 = best_rate(4, &spec, &grid, 1, warm_memo, plain_probe);
+        // The first round fills this context's memo; the best of the other
+        // four, where every cell hits, is the steady state.
+        let memoized = RunContext::fresh();
+        let warm_memo = || memoized.clone();
+        let warm_memo_1 = best_rate(5, &spec, &grid, 1, warm_memo, plain_probe);
         let (analytic_1, analytic_trusted) = analytic_rate(&spec, &grid);
         // On a single-core host the n-thread sweep *is* the 1-thread
         // sweep; re-measuring it would only record scheduler noise.
         let (cold_n, warm_first_n, warm_memo_n) = if threads > 1 {
             (
                 best_rate(3, &spec, &grid, threads, cold, plain_probe),
-                best_rate(4, &spec, &grid, threads, warm_fresh, plain_probe),
+                best_rate(4, &spec, &grid, threads, fresh, plain_probe),
                 best_rate(4, &spec, &grid, threads, warm_memo, plain_probe),
             )
         } else {
             (cold_1, warm_first_1, warm_memo_1)
         };
-        gasnub_memsim::set_cold_path(false);
         machines.insert(
             label.to_string(),
             Json::object([

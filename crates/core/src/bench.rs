@@ -227,19 +227,10 @@ pub fn local_gather_curve(machine: &mut dyn Machine, working_sets: &[u64]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gasnub_machines::{MachineSpec, MeasureLimits, TransferEngine};
+    use gasnub_machines::{MachineSpec, MeasureLimits, RunContext, TransferEngine};
 
     fn fast(spec: MachineSpec) -> TransferEngine {
         spec.with_limits(MeasureLimits::fast()).build().unwrap()
-    }
-
-    /// A fast engine kept off the probe memo by its recorder, so the
-    /// sequential oracle re-simulates instead of reading back cells that
-    /// another engine of the same spec memoized.
-    fn unmemoized(spec: MachineSpec) -> TransferEngine {
-        let mut m = fast(spec);
-        m.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-        m
     }
 
     #[test]
@@ -357,7 +348,9 @@ mod tests {
             strides: vec![1, 8, 16],
             working_sets: vec![32 << 10, 4 << 20],
         };
-        let mut m = unmemoized(MachineSpec::t3d());
+        // The unmemoized oracle re-simulates instead of reading back cells
+        // that another engine of the same spec memoized.
+        let mut m = fast(MachineSpec::t3d().with_context(RunContext::unmemoized()));
         let sequential = sweep_surface(&mut m, SweepOp::RemoteDeposit, &grid).unwrap();
         let parallel = sweep_surface_par(&spec, SweepOp::RemoteDeposit, &grid, 4)
             .unwrap()

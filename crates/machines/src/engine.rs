@@ -9,19 +9,21 @@
 
 use gasnub_coherence::smp::SnoopingSmp;
 use gasnub_interconnect::link::Link;
-use gasnub_interconnect::ni::{ERegisters, T3dNi};
-use gasnub_memsim::dram::Dram;
+use gasnub_interconnect::ni::{ERegisters, NiLossConfig, NiLossModel, T3dNi};
+use gasnub_memsim::dram::{Dram, DramConfig};
 use gasnub_memsim::engine::MemoryEngine;
 use gasnub_memsim::stats::RunStats;
-use gasnub_memsim::trace::{CopyPass, StorePass, StridedOrder, StridedPass};
+use gasnub_memsim::trace::{
+    shuffled_indices, CopyPass, IndexedPass, StorePass, StridedOrder, StridedPass,
+};
 use gasnub_memsim::write_buffer::WriteBuffer;
-use gasnub_memsim::WORD_BYTES;
+use gasnub_memsim::{Access, ConfigError, WORD_BYTES};
 use gasnub_trace::{CounterSet, Event, NullRecorder, Recorder};
 
 use crate::cancel::{CancelToken, Guarded};
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId, Measurement};
-use crate::memo::{self, MemoKey};
+use crate::memo::RunContext;
 use crate::probe::{ProbeOp, ProbeRequest};
 use crate::spec::{T3dRemoteParams, T3eRemoteParams};
 
@@ -43,14 +45,17 @@ pub fn words_of(ws_bytes: u64) -> u64 {
 /// when the kernel produced them (see [`TransferEngine::harvest_counters`]).
 type Run = (Measurement, Option<RunStats>);
 
-/// Which side of a strided word transfer serializes on memory banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// Puts: incoming words are stored in arrival order, so destination
-    /// bank busy windows stall the stream.
-    Deposit,
-    /// Gets: the deeply pipelined E-register reads reorder across banks.
-    Fetch,
+/// One remote transfer, as the remote kernels see it.
+struct Transfer {
+    op: ProbeOp,
+    limits: MeasureLimits,
+    /// The clock the measurement is reported at.
+    clock: f64,
+    ws_bytes: u64,
+    stride: u64,
+    cancel: Option<CancelToken>,
+    /// Whether priming takes the full-statistics path.
+    full_stats: bool,
 }
 
 /// Mutable state of the T3D remote path (fetch/deposit circuitry).
@@ -71,23 +76,25 @@ pub(crate) struct T3dRemotePath {
 }
 
 impl T3dRemotePath {
+    /// Builds the path's components; `remote_dram` is the source node's
+    /// DRAM as the fetch circuitry reads it.
     pub(crate) fn new(
         params: T3dRemoteParams,
-        ni: T3dNi,
-        link: Link,
-        dest_write: WriteBuffer,
-        dest_dram: Dram,
-        remote_dram: Dram,
-    ) -> Self {
-        T3dRemotePath {
-            params,
-            ni,
-            link,
-            dest_write,
-            dest_dram,
+        remote_dram: DramConfig,
+        loss: Option<NiLossConfig>,
+    ) -> Result<Self, ConfigError> {
+        let mut path = T3dRemotePath {
+            ni: T3dNi::new(params.ni.clone())?,
+            link: Link::new(params.link.clone())?,
+            dest_write: WriteBuffer::new(params.dest_write.clone())?,
+            dest_dram: Dram::new(params.dest_dram.clone())?,
             dest_busy_until: 0.0,
-            remote_dram,
-        }
+            remote_dram: Dram::new(remote_dram)?,
+            params,
+        };
+        path.ni
+            .set_loss_model(loss.map(NiLossModel::new).transpose()?);
+        Ok(path)
     }
 
     fn reset(&mut self) {
@@ -102,29 +109,20 @@ impl T3dRemotePath {
     /// Runs a deposit transfer: contiguous local loads feed strided remote
     /// stores, coalesced into packets by the write-back queue and injected
     /// by the NI.
-    fn run_deposit(
-        &mut self,
-        engine: &mut MemoryEngine,
-        limits: MeasureLimits,
-        clock: f64,
-        ws_bytes: u64,
-        stride: u64,
-        cancel: Option<CancelToken>,
-    ) -> Measurement {
-        engine.flush();
-        self.reset();
-        let words = words_of(ws_bytes);
+    fn run_deposit(&mut self, engine: &mut MemoryEngine, t: Transfer) -> Measurement {
+        let Transfer {
+            limits,
+            stride,
+            cancel,
+            ..
+        } = t;
+        let words = words_of(t.ws_bytes);
         let measured = limits.measure_words(words);
 
         // Prime the source region so cache effects along the working-set
-        // axis match the paper's methodology. The warm path skips the
-        // per-access statistics the next line discards anyway.
+        // axis match the paper's methodology.
         let prime = StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize);
-        if gasnub_memsim::cold_path() {
-            let _ = engine.run_trace(prime);
-        } else {
-            engine.prime_trace(prime);
-        }
+        engine.prime(prime, t.full_stats);
         // Scope the hierarchy's statistics window to the measured pass (the
         // window is observational only; costs are unaffected).
         engine.hierarchy_mut().reset_window_stats();
@@ -176,7 +174,7 @@ impl T3dRemotePath {
             now += self.flush_packet(open_bytes + header, hops, now);
         }
         now = now.max(self.dest_busy_until);
-        Measurement::new(measured * WORD_BYTES, now - start, clock)
+        Measurement::new(measured * WORD_BYTES, now - start, t.clock)
     }
 
     /// Injects one packet; the sender observes injection cost plus link
@@ -191,18 +189,14 @@ impl T3dRemotePath {
 
     /// Runs a fetch transfer: strided remote loads through the prefetch
     /// FIFO, contiguous local stores through the write-back queue.
-    fn run_fetch(
-        &mut self,
-        engine: &mut MemoryEngine,
-        limits: MeasureLimits,
-        clock: f64,
-        ws_bytes: u64,
-        stride: u64,
-        cancel: Option<CancelToken>,
-    ) -> Measurement {
-        engine.flush();
-        self.reset();
-        let words = words_of(ws_bytes);
+    fn run_fetch(&mut self, engine: &mut MemoryEngine, t: Transfer) -> Measurement {
+        let Transfer {
+            limits,
+            stride,
+            cancel,
+            ..
+        } = t;
+        let words = words_of(t.ws_bytes);
         let measured = limits.measure_words(words);
         let cpu = engine.cpu().clone();
         let row_hit = self.remote_dram.config().row_hit_cycles;
@@ -225,7 +219,7 @@ impl T3dRemotePath {
             now += cpu.store_issue_cycles + cpu.loop_overhead_cycles + store.cycles;
         }
         now += engine.hierarchy_mut().drain_writes(now);
-        Measurement::new(measured * WORD_BYTES, now - start, clock)
+        Measurement::new(measured * WORD_BYTES, now - start, t.clock)
     }
 }
 
@@ -240,18 +234,20 @@ pub(crate) struct T3eRemotePath {
 }
 
 impl T3eRemotePath {
+    /// Builds the path's components.
     pub(crate) fn new(
         params: T3eRemoteParams,
-        eregs: ERegisters,
-        link: Link,
-        dest_banks: Dram,
-    ) -> Self {
-        T3eRemotePath {
+        loss: Option<NiLossConfig>,
+    ) -> Result<Self, ConfigError> {
+        let mut path = T3eRemotePath {
+            eregs: ERegisters::new(params.eregs.clone())?,
+            link: Link::new(params.link.clone())?,
+            dest_banks: Dram::new(params.dest_word_banks.clone())?,
             params,
-            eregs,
-            link,
-            dest_banks,
-        }
+        };
+        path.eregs
+            .set_loss_model(loss.map(NiLossModel::new).transpose()?);
+        Ok(path)
     }
 
     fn reset(&mut self) {
@@ -260,23 +256,16 @@ impl T3eRemotePath {
         self.dest_banks.reset();
     }
 
-    /// Runs one remote transfer of `words` words at `stride` through the
-    /// E-registers in the given direction. Unit-stride data moves as
-    /// coalesced blocks; non-unit strides move single words.
-    #[allow(clippy::too_many_arguments)]
-    fn run_remote(
-        &mut self,
-        engine: &mut MemoryEngine,
-        limits: MeasureLimits,
-        clock: f64,
-        ws_bytes: u64,
-        stride: u64,
-        dir: Direction,
-        cancel: Option<CancelToken>,
-    ) -> Measurement {
-        engine.flush();
-        self.reset();
-        let words = words_of(ws_bytes);
+    /// Runs one remote fetch or deposit through the E-registers. Unit-stride
+    /// data moves as coalesced blocks; non-unit strides move single words.
+    fn run_remote(&mut self, t: Transfer) -> Measurement {
+        let Transfer {
+            limits,
+            stride,
+            cancel,
+            ..
+        } = t;
+        let words = words_of(t.ws_bytes);
         let measured = limits.measure_words(words);
         let hops = self.params.hops;
 
@@ -304,16 +293,18 @@ impl T3eRemotePath {
                 let word_cost =
                     self.eregs.transfer_word(now) + self.params.strided_word_extra_cycles;
                 now += word_cost;
-                if dir == Direction::Deposit {
-                    // Incoming words commit to destination banks in arrival
+                if t.op == ProbeOp::RemoteDeposit {
+                    // Incoming puts commit to destination banks in arrival
                     // order; a busy bank stalls the stream (Fig. 8 ripples).
+                    // Gets need no such step: the deeply pipelined
+                    // E-register reads reorder across banks.
                     let addr = DST_REGION + idx * WORD_BYTES;
                     let out = self.dest_banks.access(addr, now);
                     now += out.bank_stall_cycles;
                 }
             }
         }
-        Measurement::new(measured * WORD_BYTES, now - start, clock)
+        Measurement::new(measured * WORD_BYTES, now - start, t.clock)
     }
 }
 
@@ -366,11 +357,14 @@ pub struct TransferEngine {
     /// The originating spec's identity hash — the machine half of every
     /// memo key (see [`crate::memo`]).
     spec_hash: u64,
+    /// The run this engine belongs to: its memo and priming path.
+    ctx: RunContext,
 }
 
 impl TransferEngine {
     /// Assembles an engine around `backend`; `display` is the resolved
     /// display name and `spec_hash` the originating spec's identity.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: MachineId,
         label: String,
@@ -379,6 +373,7 @@ impl TransferEngine {
         gather_seed: u64,
         limits: MeasureLimits,
         spec_hash: u64,
+        ctx: RunContext,
     ) -> Self {
         let clock_mhz = match &backend {
             Backend::Smp(smp) => smp.config().node.cpu.clock_mhz,
@@ -396,18 +391,8 @@ impl TransferEngine {
             last_counters: None,
             cancel: None,
             spec_hash,
+            ctx,
         }
-    }
-
-    /// The memo key for a (normalised) probe about to run, or `None` when
-    /// memoization does not apply: an enabled recorder (component counters
-    /// and events must be recomputed) or the `--cold` escape hatch
-    /// ([`gasnub_memsim::cold_path`]).
-    fn memo_key(&self, req: &ProbeRequest) -> Option<MemoKey> {
-        if self.recorder.enabled() {
-            return None;
-        }
-        req.memo_key(self.spec_hash, self.limits)
     }
 
     /// Whether an enabled recorder is installed, i.e. probe side effects
@@ -530,161 +515,109 @@ impl TransferEngine {
         self.last_counters = Some(counters);
     }
 
-    /// Wraps a pass iterator so it consults this engine's cancellation
-    /// token (if any) every [`crate::cancel::CHECK_INTERVAL`] accesses.
-    fn guard<I: Iterator>(&self, pass: I) -> Guarded<I> {
-        Guarded::new(pass, self.cancel.clone())
-    }
+    // The probe kernels behind [`Machine::probe`], one for the local and one
+    // for the remote ops. Both run on the flushed state and return the
+    // measurement with the measured pass's statistics; the remote one
+    // returns `None` where the backend has no such path.
 
-    // The probe kernels behind [`Machine::probe`], one per [`ProbeOp`]. Each
-    // starts from the flushed state and returns its measurement with the
-    // measured pass's statistics; the remote ones return `None` where the
-    // backend has no such path.
-
-    fn sim_local_load(&mut self, ws_bytes: u64, stride: u64) -> Run {
-        self.flush_all();
+    /// The local kernels: a primed pass, then a measured pass over the
+    /// measuring processor's hierarchy. Copies count their payload once
+    /// (they issue a load and a store per word).
+    fn sim_local(&mut self, req: &ProbeRequest, full_stats: bool) -> Run {
         let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StridedPass::new(0, words, stride).take(limits.prime_words(words) as usize));
+        let (words, stride) = (words_of(req.ws_bytes), req.stride);
         let measured = limits.measure_words(words);
-        let measure = self.guard(StridedPass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        (m, Some(stats))
+        let (primed, m) = (limits.prime_words(words) as usize, measured as usize);
+        let stats = match req.op {
+            ProbeOp::LocalStore => {
+                let pass = StorePass::new(0, words, stride);
+                self.prime_and_measure(pass.clone().take(primed), pass.take(m), full_stats)
+            }
+            ProbeOp::LocalCopy => {
+                let pass = CopyPass::new(0, DST_REGION, words, stride, req.stride2);
+                self.prime_and_measure(pass.clone().take(2 * primed), pass.take(2 * m), full_stats)
+            }
+            ProbeOp::LocalGather => {
+                let prime = StridedPass::new(0, words, 1).take(primed);
+                let indices = shuffled_indices(words, m, self.gather_seed);
+                self.prime_and_measure(prime, IndexedPass::new(0, indices), full_stats)
+            }
+            _ => {
+                let pass = StridedPass::new(0, words, stride);
+                self.prime_and_measure(pass.clone().take(primed), pass.take(m), full_stats)
+            }
+        };
+        let bytes = match req.op {
+            ProbeOp::LocalCopy => measured * WORD_BYTES,
+            _ => stats.bytes,
+        };
+        (Measurement::new(bytes, stats.cycles, clock), Some(stats))
     }
 
-    fn sim_local_store(&mut self, ws_bytes: u64, stride: u64) -> Run {
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let prime =
-            self.guard(StorePass::new(0, words, stride).take(limits.prime_words(words) as usize));
-        let measured = limits.measure_words(words);
-        let measure = self.guard(StorePass::new(0, words, stride).take(measured as usize));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        (m, Some(stats))
+    /// Primes with one pass and measures another on the measuring
+    /// processor's hierarchy. Both consult the cancellation token (if any)
+    /// every [`crate::cancel::CHECK_INTERVAL`] accesses.
+    fn prime_and_measure(
+        &mut self,
+        prime: impl Iterator<Item = Access>,
+        measure: impl Iterator<Item = Access>,
+        full_stats: bool,
+    ) -> RunStats {
+        let prime = Guarded::new(prime, self.cancel.clone());
+        let measure = Guarded::new(measure, self.cancel.clone());
+        self.mem().prime_and_measure(prime, measure, full_stats)
     }
 
-    fn sim_local_copy(&mut self, ws_bytes: u64, load_stride: u64, store_stride: u64) -> Run {
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * limits.prime_words(words) as usize),
-        );
-        let measure = self.guard(
-            CopyPass::new(0, DST_REGION, words, load_stride, store_stride)
-                .take(2 * measured as usize),
-        );
-        let stats = self.mem().prime_and_measure(prime, measure);
-        // Copied payload counts once.
-        let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-        (m, Some(stats))
-    }
-
-    fn sim_local_gather(&mut self, ws_bytes: u64) -> Run {
-        self.flush_all();
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let words = words_of(ws_bytes);
-        let measured = limits.measure_words(words);
-        let prime =
-            self.guard(StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize));
-        let indices =
-            gasnub_memsim::trace::shuffled_indices(words, measured as usize, self.gather_seed);
-        let measure = self.guard(gasnub_memsim::trace::IndexedPass::new(0, indices));
-        let stats = self.mem().prime_and_measure(prime, measure);
-        let m = Measurement::new(stats.bytes, stats.cycles, clock);
-        (m, Some(stats))
-    }
-
-    fn sim_remote_load(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
+    fn sim_remote(&mut self, req: &ProbeRequest, full_stats: bool) -> Option<Run> {
+        let t = Transfer {
+            op: req.op,
+            limits: self.limits,
+            clock: self.clock_mhz,
+            ws_bytes: req.ws_bytes,
+            stride: req.stride,
+            cancel: self.cancel.clone(),
+            full_stats,
+        };
         match &mut self.backend {
+            // "The DEC 8400 does not have support for pushing data into
+            // memory or caches of a remote processor." (§5.2)
+            Backend::Smp(_) if t.op == ProbeOp::RemoteDeposit => None,
             Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
+                let (limits, words) = (t.limits, words_of(t.ws_bytes));
                 // Producer (P1) writes the data; consumer (P0) pulls after a
                 // synchronization point (§5.2).
                 let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
+                let _ = smp.producer_store(1, Guarded::new(produce, t.cancel.clone()));
                 let measured = limits.measure_words(words);
-                let pull = StridedPass::new(0, words, stride).take(measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(pull, cancel));
-                let m = Measurement::new(stats.bytes, stats.cycles, clock);
-                Some((m, Some(stats)))
+                let (bytes, stats) = if t.op == ProbeOp::RemoteLoad {
+                    let pull = StridedPass::new(0, words, t.stride).take(measured as usize);
+                    let stats = smp.consumer_pull(0, Guarded::new(pull, t.cancel));
+                    (stats.bytes, stats)
+                } else {
+                    // Strided remote loads, contiguous local stores (fig 12).
+                    let copy = CopyPass::new(0, DST_REGION, words, t.stride, 1)
+                        .take(2 * measured as usize);
+                    let stats = smp.consumer_pull(0, Guarded::new(copy, t.cancel));
+                    (measured * WORD_BYTES, stats)
+                };
+                Some((Measurement::new(bytes, stats.cycles, t.clock), Some(stats)))
             }
-            // Pure remote loads without a local destination are not one of
-            // the paper's torus benchmarks (fig 4 measures shmem_iget
-            // transfers).
-            Backend::Node { .. } => None,
+            Backend::Node { engine, remote } => {
+                let m = match remote {
+                    // Pure remote loads without a local destination are not
+                    // one of the paper's torus benchmarks (fig 4 measures
+                    // shmem_iget transfers).
+                    _ if t.op == ProbeOp::RemoteLoad => return None,
+                    RemotePath::None => return None,
+                    RemotePath::T3d(path) if t.op == ProbeOp::RemoteFetch => {
+                        path.run_fetch(engine, t)
+                    }
+                    RemotePath::T3d(path) => path.run_deposit(engine, t),
+                    RemotePath::T3e(path) => path.run_remote(t),
+                };
+                Some((m, None))
+            }
         }
-    }
-
-    fn sim_remote_fetch(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        match &mut self.backend {
-            Backend::Smp(smp) => {
-                smp.flush();
-                let words = words_of(ws_bytes);
-                let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, cancel.clone()));
-                let measured = limits.measure_words(words);
-                // Strided remote loads, contiguous local stores (fig 12).
-                let copy =
-                    CopyPass::new(0, DST_REGION, words, stride, 1).take(2 * measured as usize);
-                let stats = smp.consumer_pull(0, Guarded::new(copy, cancel));
-                let m = Measurement::new(measured * WORD_BYTES, stats.cycles, clock);
-                Some((m, Some(stats)))
-            }
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => {
-                    Some(path.run_fetch(engine, limits, clock, ws_bytes, stride, cancel))
-                }
-                RemotePath::T3e(path) => Some(path.run_remote(
-                    engine,
-                    limits,
-                    clock,
-                    ws_bytes,
-                    stride,
-                    Direction::Fetch,
-                    cancel,
-                )),
-            }
-            .map(|m| (m, None)),
-        }
-    }
-
-    fn sim_remote_deposit(&mut self, ws_bytes: u64, stride: u64) -> Option<Run> {
-        let (limits, clock) = (self.limits, self.clock_mhz);
-        let cancel = self.cancel.clone();
-        let deposited = match &mut self.backend {
-            // "The DEC 8400 does not have support for pushing data into
-            // memory or caches of a remote processor." (§5.2)
-            Backend::Smp(_) => None,
-            Backend::Node { engine, remote } => match remote {
-                RemotePath::None => None,
-                RemotePath::T3d(path) => {
-                    Some(path.run_deposit(engine, limits, clock, ws_bytes, stride, cancel))
-                }
-                RemotePath::T3e(path) => Some(path.run_remote(
-                    engine,
-                    limits,
-                    clock,
-                    ws_bytes,
-                    stride,
-                    Direction::Deposit,
-                    cancel,
-                )),
-            },
-        };
-        deposited.map(|m| (m, None))
     }
 }
 
@@ -715,26 +648,28 @@ impl Machine for TransferEngine {
 
     fn probe(&mut self, req: &ProbeRequest) -> Option<Measurement> {
         let req = req.normalized();
-        let key = self.memo_key(&req);
-        if let Some(cached) = key.as_ref().and_then(memo::lookup) {
+        // The one place a probe's shortcuts are decided: only an unobserved
+        // probe (no enabled recorder, whose counters must be real) in a
+        // context with a memo may skip simulation, and only a cold context
+        // primes through the full-statistics path.
+        let memoized = self.ctx.memo().is_some() && !self.recorder.enabled();
+        let key = memoized.then_some((self.spec_hash, req, self.limits));
+        let full_stats = self.ctx.cold;
+        if let Some(cached) = key.and_then(|k| self.ctx.memo()?.lookup(&k)) {
             return cached;
         }
-        let (ws, stride) = (req.ws_bytes, req.stride);
-        let run = match req.op {
-            ProbeOp::LocalLoad => Some(self.sim_local_load(ws, stride)),
-            ProbeOp::LocalStore => Some(self.sim_local_store(ws, stride)),
-            ProbeOp::LocalCopy => Some(self.sim_local_copy(ws, stride, req.stride2)),
-            ProbeOp::LocalGather => Some(self.sim_local_gather(ws)),
-            ProbeOp::RemoteLoad => self.sim_remote_load(ws, stride),
-            ProbeOp::RemoteFetch => self.sim_remote_fetch(ws, stride),
-            ProbeOp::RemoteDeposit => self.sim_remote_deposit(ws, stride),
+        self.flush_all();
+        let run = if req.op.is_remote() {
+            self.sim_remote(&req, full_stats)
+        } else {
+            Some(self.sim_local(&req, full_stats))
         };
         let result = run.map(|(m, stats)| {
             self.observe(&req, &m, stats.as_ref());
             m
         });
-        if let Some(k) = key {
-            memo::insert(k, result);
+        if let (Some(k), Some(memo)) = (key, self.ctx.memo()) {
+            memo.insert(k, result);
         }
         result
     }
@@ -829,17 +764,17 @@ mod tests {
         assert!(counters.get("link_transfers") > 0);
     }
 
-    /// Repeated cells hit the per-process memo instead of re-simulating,
-    /// for every op on one machine of each model family, and memoized
-    /// results are bit-identical to computed ones. Unsupported outcomes
-    /// memoize as `None`, and a gather (which ignores its stride) at a
-    /// second stride is served from the first stride's entry. Observed
-    /// engines (enabled recorder) bypass the memo entirely so counters and
-    /// events stay faithful.
+    /// Repeated cells hit the context's memo instead of re-simulating, for
+    /// every op on one machine of each model family, and memoized results
+    /// are bit-identical to computed ones. Unsupported outcomes memoize as
+    /// `None`, and a gather (which ignores its stride) at a second stride
+    /// is served from the first stride's entry. Observed engines (enabled
+    /// recorder) bypass the memo entirely so counters and events stay
+    /// faithful.
     #[test]
     fn repeated_probes_hit_the_memo_with_identical_results() {
-        use crate::memo;
-        let _guard = memo::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let ctx = RunContext::fresh();
+        let memo = ctx.memo().expect("a fresh context memoizes");
         let bits = |m: Option<Measurement>| m.map(|m| (m.bytes, m.cycles.to_bits()));
         let ops = [
             ProbeOp::LocalLoad,
@@ -858,30 +793,27 @@ mod tests {
             MachineSpec::for_id(MachineId::Custom),
         ];
         for spec in families {
-            let mut engine = spec.with_limits(MeasureLimits::fast()).build().unwrap();
+            let spec = spec.with_limits(MeasureLimits::fast());
+            let mut engine = spec.with_context(ctx.clone()).build().unwrap();
             let label = engine.label();
             for op in ops {
                 let cell = req(op, 48 << 10, 3);
                 let first = engine.probe(&cell);
-                let (hits0, _) = memo::stats();
+                let (hits0, misses0) = memo.stats();
                 let second = engine.probe(&cell);
-                let (hits1, _) = memo::stats();
-                assert!(
-                    hits1 > hits0,
+                assert_eq!(
+                    memo.stats(),
+                    (hits0 + 1, misses0),
                     "{label} {op:?}: repeat must be served by the memo"
                 );
                 assert_eq!(bits(first), bits(second), "{label} {op:?}");
-                if first.is_none() {
-                    let key = engine.memo_key(&cell.normalized()).expect("memoizable");
-                    assert_eq!(memo::lookup(&key), Some(None), "{label} {op:?}");
-                }
             }
             let gather = engine.probe(&req(ProbeOp::LocalGather, 48 << 10, 3));
-            let (hits0, _) = memo::stats();
+            let (hits0, _) = memo.stats();
             let restrided = engine.probe(&req(ProbeOp::LocalGather, 48 << 10, 16));
-            let (hits1, _) = memo::stats();
-            assert!(
-                hits1 > hits0,
+            assert_eq!(
+                memo.stats().0,
+                hits0 + 1,
                 "{label}: a gather's stride must not split the memo"
             );
             assert_eq!(bits(gather), bits(restrided), "{label}");
@@ -891,12 +823,19 @@ mod tests {
         // and harvests real counters.
         let mut engine = MachineSpec::t3e()
             .with_limits(MeasureLimits::fast())
+            .with_context(ctx.clone())
             .build()
             .unwrap();
         let first = engine.probe(&req(ProbeOp::LocalLoad, 48 << 10, 3));
         engine.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
+        let before = memo.stats();
         let observed = engine.probe(&req(ProbeOp::LocalLoad, 48 << 10, 3));
         assert_eq!(bits(observed), bits(first));
         assert!(engine.take_counters().is_some());
+        assert_eq!(
+            memo.stats(),
+            before,
+            "observed probes never consult the memo"
+        );
     }
 }

@@ -70,6 +70,7 @@ pub use gasnub_faults::{FaultPlan, RouteImpact};
 pub use gasnub_trace::{CounterSet, Event, NullRecorder, Recorder, RingRecorder};
 pub use limits::MeasureLimits;
 pub use machine::{Machine, MachineId, Measurement};
+pub use memo::{Memo, RunContext};
 pub use probe::{ProbeOp, ProbePath, ProbeRequest, ProbeTier};
 pub use registry::{BrokenSpec, MachineRegistry, ResolveError};
 pub use spec::{Ablation, MachineSpec, SpawnEngine};

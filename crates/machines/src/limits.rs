@@ -8,7 +8,7 @@
 //! steady state. Results remain deterministic.
 
 /// Caps on the simulated portion of a benchmark pass (in 64-bit words).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeasureLimits {
     /// Maximum words simulated in the measured pass.
     pub max_measure_words: u64,

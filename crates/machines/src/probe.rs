@@ -10,9 +10,6 @@
 //!
 //! [`Machine::probe`]: crate::Machine::probe
 
-use crate::limits::MeasureLimits;
-use crate::memo::MemoKey;
-
 /// Which probe a request runs. Also the operation half of every memo
 /// key (see [`crate::memo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,7 +101,7 @@ impl ProbeTier {
 }
 
 /// One probe, fully described: the operation and its grid cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeRequest {
     /// The operation to measure.
     pub op: ProbeOp,
@@ -153,24 +150,6 @@ impl ProbeRequest {
             0
         };
         self
-    }
-
-    /// The memo key of this (normalised) request on a machine with the
-    /// given spec hash and measurement caps, or `None` under the `--cold`
-    /// escape hatch.
-    pub(crate) fn memo_key(&self, spec_hash: u64, limits: MeasureLimits) -> Option<MemoKey> {
-        if gasnub_memsim::cold_path() {
-            return None;
-        }
-        Some(MemoKey {
-            spec_hash,
-            op: self.op,
-            ws_bytes: self.ws_bytes,
-            stride: self.stride,
-            stride2: self.stride2,
-            max_measure_words: limits.max_measure_words,
-            max_prime_words: limits.max_prime_words,
-        })
     }
 }
 

@@ -188,12 +188,6 @@ impl MachineRegistry {
     pub fn broken(&self) -> &[BrokenSpec] {
         &self.broken
     }
-
-    /// A comma-separated list of every resolvable label — the one string
-    /// usage/error messages embed.
-    pub fn name_list(&self) -> String {
-        self.names().join(", ")
-    }
 }
 
 #[cfg(test)]

@@ -20,19 +20,18 @@
 use gasnub_coherence::smp::{SmpConfig, SnoopingSmp};
 use gasnub_faults::FaultPlan;
 use gasnub_interconnect::bus::BusJitterConfig;
-use gasnub_interconnect::link::{Link, LinkConfig};
-use gasnub_interconnect::ni::{
-    ERegisters, ERegistersConfig, NiLossConfig, NiLossModel, T3dNi, T3dNiConfig,
-};
+use gasnub_interconnect::link::LinkConfig;
+use gasnub_interconnect::ni::{ERegistersConfig, NiLossConfig, T3dNiConfig};
 use gasnub_memsim::config::NodeConfig;
-use gasnub_memsim::dram::{Dram, DramConfig};
+use gasnub_memsim::dram::DramConfig;
 use gasnub_memsim::engine::MemoryEngine;
-use gasnub_memsim::write_buffer::{WriteBuffer, WriteBufferConfig};
+use gasnub_memsim::write_buffer::WriteBufferConfig;
 use gasnub_memsim::{ConfigError, SimError};
 
 use crate::engine::{Backend, RemotePath, T3dRemotePath, T3eRemotePath, TransferEngine};
 use crate::limits::MeasureLimits;
 use crate::machine::{Machine, MachineId};
+use crate::memo::RunContext;
 use crate::specfile::{self, SpecError};
 
 /// Remote-path parameters of a `torus` spec: NI fetch/deposit circuitry
@@ -171,6 +170,9 @@ pub struct MachineSpec {
     calibration_tolerance: Option<f64>,
     kind: SpecKind,
     limits: MeasureLimits,
+    /// The run spawned engines belong to; never part of the spec's hash,
+    /// rendering or equality.
+    ctx: RunContext,
 }
 
 /// Embedded spec files: the built-in machines are ordinary zoo files,
@@ -256,6 +258,7 @@ impl MachineSpec {
             calibration_tolerance: None,
             kind: SpecKind::Node { node },
             limits: MeasureLimits::new(),
+            ctx: RunContext::default(),
         }
     }
 
@@ -290,6 +293,7 @@ impl MachineSpec {
             calibration_tolerance,
             kind,
             limits: MeasureLimits::new(),
+            ctx: RunContext::default(),
         }
     }
 
@@ -382,12 +386,6 @@ impl MachineSpec {
         }
     }
 
-    /// Whether this spec's model family has a remote path (so `faults` and
-    /// the remote `ProbeOp`s apply).
-    pub fn has_remote_path(&self) -> bool {
-        !matches!(self.kind, SpecKind::Node { .. })
-    }
-
     /// The node-level memory configuration (caches, DRAM, CPU issue
     /// costs) this spec builds its processing element from. For SMP
     /// specs this is the per-node configuration behind the shared bus.
@@ -424,6 +422,13 @@ impl MachineSpec {
     /// The measurement caps spawned engines start with.
     pub fn limits(&self) -> MeasureLimits {
         self.limits
+    }
+
+    /// Replaces the run context spawned engines belong to ([`crate::memo`]).
+    #[must_use]
+    pub fn with_context(mut self, ctx: RunContext) -> Self {
+        self.ctx = ctx;
+        self
     }
 
     /// Folds a fault plan into the spec: failed/degraded torus channels
@@ -531,7 +536,6 @@ impl MachineSpec {
         let spec_hash = self.spec_hash();
         let display = self.display_name();
         let seed = self.kind.gather_seed();
-        let loss_model = |loss: Option<NiLossConfig>| loss.map(NiLossModel::new).transpose();
         let backend = match self.kind {
             SpecKind::Smp { smp, bus_jitter } => {
                 let mut system = SnoopingSmp::new(smp)?;
@@ -545,14 +549,9 @@ impl MachineSpec {
                 remote,
                 ni_loss,
             } => {
-                let engine = MemoryEngine::try_new(node.clone())?;
-                let mut ni = T3dNi::new(remote.ni.clone())?;
-                let link = Link::new(remote.link.clone())?;
-                let dest_write = WriteBuffer::new(remote.dest_write.clone())?;
-                let dest_dram = Dram::new(remote.dest_dram.clone())?;
-                let remote_dram = Dram::new(node.hierarchy.dram.clone())?;
-                ni.set_loss_model(loss_model(ni_loss)?);
-                let path = T3dRemotePath::new(remote, ni, link, dest_write, dest_dram, remote_dram);
+                let remote_dram = node.hierarchy.dram.clone();
+                let engine = MemoryEngine::try_new(node)?;
+                let path = T3dRemotePath::new(remote, remote_dram, ni_loss)?;
                 Backend::Node {
                     engine,
                     remote: RemotePath::T3d(Box::new(path)),
@@ -564,11 +563,7 @@ impl MachineSpec {
                 ni_loss,
             } => {
                 let engine = MemoryEngine::try_new(node)?;
-                let mut eregs = ERegisters::new(remote.eregs.clone())?;
-                let link = Link::new(remote.link.clone())?;
-                let dest_banks = Dram::new(remote.dest_word_banks.clone())?;
-                eregs.set_loss_model(loss_model(ni_loss)?);
-                let path = T3eRemotePath::new(remote, eregs, link, dest_banks);
+                let path = T3eRemotePath::new(remote, ni_loss)?;
                 Backend::Node {
                     engine,
                     remote: RemotePath::T3e(Box::new(path)),
@@ -587,6 +582,7 @@ impl MachineSpec {
             seed,
             self.limits,
             spec_hash,
+            self.ctx,
         ))
     }
 }

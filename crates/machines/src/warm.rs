@@ -27,7 +27,7 @@
 //!   bound to one spawner; use one per machine.
 //!
 //! Identical repeated cells are not re-executed at all on the warm path —
-//! the per-process memo (see [`crate::memo`]) serves them before the
+//! the run context's memo (see [`crate::memo`]) serves them before the
 //! engine is touched.
 
 use gasnub_memsim::SimError;
@@ -97,7 +97,7 @@ mod tests {
     use crate::machine::Machine;
     use crate::probe::{ProbeOp, ProbeRequest};
     use crate::spec::MachineSpec;
-    use crate::MeasureLimits;
+    use crate::{MeasureLimits, RunContext};
 
     use crate::probe::ProbeOp::LocalLoad;
 
@@ -141,6 +141,7 @@ mod tests {
         // A run: fixed stride, ascending working sets; the warm engine must
         // reproduce fresh-engine measurements bit for bit.
         let spec = MachineSpec::t3d().with_limits(MeasureLimits::fast());
+        let fresh = spec.clone().with_context(RunContext::unmemoized());
         let mut warm = WarmState::new();
         for ws in [8 << 10, 64 << 10, 1 << 20] {
             let w = warm
@@ -148,11 +149,12 @@ mod tests {
                 .unwrap()
                 .probe(&req(LocalLoad, ws, 8))
                 .unwrap();
-            // The recorder keeps the fresh engine off the memo, so this is
-            // a genuine recomputation, not a table hit.
-            let mut fresh = spec.spawn_engine().unwrap();
-            fresh.set_recorder(Box::new(gasnub_trace::RingRecorder::new(4)));
-            let f = fresh.probe(&req(LocalLoad, ws, 8)).unwrap();
+            // An unmemoized engine genuinely recomputes the cell.
+            let f = fresh
+                .spawn_engine()
+                .unwrap()
+                .probe(&req(LocalLoad, ws, 8))
+                .unwrap();
             assert_eq!(w.cycles.to_bits(), f.cycles.to_bits(), "ws {ws}");
         }
     }

@@ -1,31 +1,11 @@
 //! The trace engine: runs access streams through a node and accounts cycles.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::access::{Access, AccessKind, WORD_BYTES};
 use crate::config::NodeConfig;
 use crate::cpu::CpuConfig;
 use crate::error::ConfigError;
 use crate::hierarchy::MemoryHierarchy;
 use crate::stats::RunStats;
-
-/// Process-wide switch forcing the *cold* (fully-instrumented) execution
-/// path: priming passes run through [`MemoryEngine::run_trace`] with window
-/// statistics and latency-histogram recording instead of the stats-free
-/// [`MemoryEngine::prime_trace`]. The two paths evolve identical state and
-/// clocks, so results are bit-identical either way; the switch exists as an
-/// escape hatch (`--cold`) and for A/B verification in tests and benches.
-static COLD_PATH: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the process-wide cold execution path.
-pub fn set_cold_path(on: bool) {
-    COLD_PATH.store(on, Ordering::Relaxed);
-}
-
-/// Whether the process-wide cold execution path is enabled.
-pub fn cold_path() -> bool {
-    COLD_PATH.load(Ordering::Relaxed)
-}
 
 /// A complete simulated node: CPU issue model + memory hierarchy, with a
 /// monotonically advancing simulated clock.
@@ -160,28 +140,32 @@ impl MemoryEngine {
         self.now += drain;
     }
 
-    /// Convenience wrapper for load-only traces.
-    pub fn run_loads<I>(&mut self, trace: I) -> RunStats
+    /// Primes the hierarchy with one pass of `trace`: stats-free through
+    /// [`MemoryEngine::prime_trace`], or with `full_stats` through
+    /// [`MemoryEngine::run_trace`] (the `--cold` path). Both evolve identical
+    /// state and clocks, so the choice never changes a result.
+    pub fn prime<I>(&mut self, trace: I, full_stats: bool)
     where
         I: IntoIterator<Item = Access>,
     {
-        self.run_trace(trace)
+        if full_stats {
+            let _ = self.run_trace(trace);
+        } else {
+            self.prime_trace(trace);
+        }
     }
 
-    /// Primes the hierarchy with one full pass of `prime`, then measures a
-    /// second pass `measure` — the paper's methodology: "our
-    /// micro-benchmarks access all locations of the working set exactly
-    /// once, but start with a primed cache for exactly that working set."
-    pub fn prime_and_measure<P, M>(&mut self, prime: P, measure: M) -> RunStats
+    /// Primes the hierarchy with one full pass of `prime` (see
+    /// [`MemoryEngine::prime`]), then measures a second pass `measure` —
+    /// the paper's methodology: "our micro-benchmarks access all locations
+    /// of the working set exactly once, but start with a primed cache for
+    /// exactly that working set."
+    pub fn prime_and_measure<P, M>(&mut self, prime: P, measure: M, full_stats: bool) -> RunStats
     where
         P: IntoIterator<Item = Access>,
         M: IntoIterator<Item = Access>,
     {
-        if cold_path() {
-            let _ = self.run_trace(prime);
-        } else {
-            self.prime_trace(prime);
-        }
+        self.prime(prime, full_stats);
         self.run_trace(measure)
     }
 
@@ -206,12 +190,17 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let run = || {
+        let run = |full_stats| {
             let mut e = MemoryEngine::new(presets::tiny_test_node());
             let pass = StridedPass::new(0, 4096, 3);
-            e.prime_and_measure(pass.clone(), pass).cycles
+            e.prime_and_measure(pass.clone(), pass, full_stats).cycles
         };
-        assert_eq!(run(), run());
+        assert_eq!(run(false), run(false));
+        assert_eq!(
+            run(true),
+            run(false),
+            "full-statistics priming is state-identical"
+        );
     }
 
     #[test]
@@ -219,7 +208,7 @@ mod tests {
         let mut e = MemoryEngine::new(presets::tiny_test_node());
         let words = 4 * 1024 / 8; // 4 KB < 8 KB L1
         let pass = StridedPass::new(0, words, 1);
-        let stats = e.prime_and_measure(pass.clone(), pass);
+        let stats = e.prime_and_measure(pass.clone(), pass, false);
         assert_eq!(stats.levels[0].misses, 0, "primed 4 KB must fully hit L1");
         let bw = e.bandwidth_mb_s(&stats);
         // 1 cycle per 8-byte load at 100 MHz = 800 MB/s.
@@ -231,7 +220,7 @@ mod tests {
         let mut e = MemoryEngine::new(presets::tiny_test_node());
         let words = 1024 * 1024 / 8; // 1 MB >> 64 KB L2
         let pass = StridedPass::new(0, words, 1);
-        let stats = e.prime_and_measure(pass.clone(), pass);
+        let stats = e.prime_and_measure(pass.clone(), pass, false);
         assert!(stats.dram_accesses > 0);
         let bw = e.bandwidth_mb_s(&stats);
         assert!(
@@ -246,13 +235,13 @@ mod tests {
         let mut e1 = MemoryEngine::new(presets::tiny_test_node());
         let contig = StridedPass::new(0, words, 1);
         let bw_contig = {
-            let s = e1.prime_and_measure(contig.clone(), contig);
+            let s = e1.prime_and_measure(contig.clone(), contig, false);
             e1.bandwidth_mb_s(&s)
         };
         let mut e2 = MemoryEngine::new(presets::tiny_test_node());
         let strided = StridedPass::new(0, words, 16);
         let bw_strided = {
-            let s = e2.prime_and_measure(strided.clone(), strided);
+            let s = e2.prime_and_measure(strided.clone(), strided, false);
             e2.bandwidth_mb_s(&s)
         };
         assert!(
@@ -268,7 +257,7 @@ mod tests {
         let bw_at = |bytes: u64| {
             let mut e = MemoryEngine::new(presets::tiny_test_node());
             let pass = StridedPass::new(0, bytes / 8, 1);
-            let s = e.prime_and_measure(pass.clone(), pass);
+            let s = e.prime_and_measure(pass.clone(), pass, false);
             e.bandwidth_mb_s(&s)
         };
         let l1 = bw_at(4 * 1024);

@@ -137,11 +137,6 @@ impl HierarchyConfig {
             .map(|l| l.cache.line_bytes)
             .unwrap_or(crate::access::WORD_BYTES)
     }
-
-    /// Total cache capacity in bytes across all levels.
-    pub fn total_cache_bytes(&self) -> u64 {
-        self.levels.iter().map(|l| l.cache.capacity_bytes).sum()
-    }
 }
 
 /// Where an access was finally served from.

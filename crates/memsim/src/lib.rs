@@ -39,7 +39,7 @@
 //! let mut engine = MemoryEngine::new(presets::tiny_test_node());
 //! // Stream 64 KB through it contiguously.
 //! let pass = StridedPass::new(0, 64 * 1024 / 8, 1);
-//! let stats = engine.run_loads(pass.clone());
+//! let stats = engine.run_trace(pass.clone());
 //! assert!(stats.cycles > 0.0);
 //! let mb_s = engine.bandwidth_mb_s(&stats);
 //! assert!(mb_s > 0.0);
@@ -62,6 +62,6 @@ pub mod write_buffer;
 
 pub use access::{Access, AccessKind, Addr, WORD_BYTES};
 pub use config::NodeConfig;
-pub use engine::{cold_path, set_cold_path, MemoryEngine};
+pub use engine::MemoryEngine;
 pub use error::{ConfigError, SimError};
 pub use stats::{LevelStats, RunStats};

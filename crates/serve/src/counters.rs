@@ -3,7 +3,7 @@
 //!
 //! This is the counter path that closes the latent gap between metrics
 //! and the warm path: installing a [`gasnub_trace::Recorder`] on the
-//! probing engines would report per-probe counters, but the per-process
+//! probing engines would report per-probe counters, but the server's
 //! probe memo is (correctly) bypassed whenever a recorder is enabled —
 //! observed probes must be genuine recomputations. A server that recorded
 //! every request would therefore serve every probe cold. Instead, the

@@ -13,7 +13,8 @@ use gasnub_core::json::Json;
 use gasnub_core::storage::read_verified;
 use gasnub_core::{Grid, ResilientSweep, SweepOp};
 use gasnub_machines::{
-    memo, FaultPlan, Machine, MachineRegistry, MachineSpec, MeasureLimits, ProbeTier, SpawnEngine,
+    FaultPlan, Machine, MachineRegistry, MachineSpec, MeasureLimits, ProbeTier, RunContext,
+    SpawnEngine,
 };
 use gasnub_trace::{serving, CounterSet};
 
@@ -363,6 +364,9 @@ struct ServerState {
     /// request. Fault plans force `sim`, so only healthy registry specs
     /// enter: the map is bounded by the registry size times two tiers.
     tiered: Mutex<HashMap<(u64, ProbeTier), Arc<TieredSpec>>>,
+    /// This server's run context: every engine it builds consults its
+    /// memo, and `/metrics` reports that memo alone.
+    ctx: RunContext,
     stop: AtomicBool,
     /// The bound address, for the self-connect that wakes the accept loop.
     addr: Mutex<Option<SocketAddr>>,
@@ -382,14 +386,15 @@ impl ServerState {
     /// Resolves and prepares the named machine exactly like the CLI does
     /// (registry lookup, fast limits, fault plan folded in), so serve and
     /// offline sweeps agree on the spec — and therefore on the spec hash
-    /// the checkpoint records.
+    /// the checkpoint records. The spec runs in this server's context.
     fn build_spec(&self, label: &str, plan: Option<&FaultPlan>) -> Result<MachineSpec, ApiError> {
         let mut spec = self
             .registry
             .resolve(label)
             .map_err(|e| ApiError::new(404, "unknown_machine", e.to_string()))?
             .clone()
-            .with_limits(MeasureLimits::fast());
+            .with_limits(MeasureLimits::fast())
+            .with_context(self.ctx.clone());
         if let Some(plan) = plan {
             spec = spec
                 .with_faults(plan)
@@ -564,7 +569,7 @@ impl ServerState {
         self.counters.probe();
         let spec = self.build_spec(&p.machine, p.plan.as_ref())?;
         // Engines stay recorder-free: repeated probes of the same cell hit
-        // the per-process memo instead of re-simulating (see
+        // the server's memo instead of re-simulating (see
         // [`crate::counters`] for why the server never installs recorders).
         let mb_s = match p.tier {
             ProbeTier::Simulate => {
@@ -653,7 +658,8 @@ impl ServerState {
     }
 
     /// Every counter the server keeps, as one canonical set: serving
-    /// atomics, the probe memo's own statistics, and the robustness
+    /// atomics, its probe memo's own statistics (`memo.dropped` counts
+    /// results refused at the memo's entry cap), and the robustness
     /// counters of every backing sweep.
     fn metrics(&self) -> CounterSet {
         let mut set = self.counters.snapshot();
@@ -661,10 +667,12 @@ impl ServerState {
             serving::CACHED_SURFACES,
             self.cache.lock().unwrap().len() as u64,
         );
-        let (hits, misses) = memo::stats();
+        let memo = self.ctx.memo().expect("a server's context memoizes");
+        let (hits, misses) = memo.stats();
         set.set("memo.hits", hits);
         set.set("memo.misses", misses);
-        set.set("memo.entries", memo::len() as u64);
+        set.set("memo.entries", memo.entries() as u64);
+        set.set("memo.dropped", memo.dropped());
         if let Ok(rob) = self.robustness.lock() {
             set.merge(&rob);
         }
@@ -777,8 +785,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, creates the state directory and discovers the
-    /// machine registry.
+    /// Binds the listener, creates the state directory, discovers the
+    /// machine registry and gives the server its own run context (a fresh
+    /// probe memo).
     ///
     /// # Errors
     ///
@@ -803,6 +812,7 @@ impl Server {
             cache: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             tiered: Mutex::new(HashMap::new()),
+            ctx: RunContext::fresh(),
             stop: AtomicBool::new(false),
             addr: Mutex::new(None),
         });

@@ -262,6 +262,7 @@ impl TransferCost for MeasuredCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gasnub_machines::RunContext;
     use gasnub_memsim::config::presets;
 
     fn engine(spec: MachineSpec) -> Box<dyn Machine> {
@@ -337,11 +338,10 @@ mod tests {
     #[test]
     fn from_spec_prices_like_a_built_engine() {
         let mut from_spec = MeasuredCost::from_spec(&MachineSpec::t3d()).unwrap();
-        // The recorder keeps the direct engine off the probe memo, so it
-        // re-simulates rather than reading back what `from_spec` stored.
-        let mut direct_engine = MachineSpec::t3d().build().unwrap();
-        direct_engine.set_recorder(Box::new(gasnub_machines::RingRecorder::new(4)));
-        let mut direct = MeasuredCost::new(Box::new(direct_engine));
+        // The unmemoized direct engine re-simulates rather than reading
+        // back what `from_spec` stored.
+        let unmemoized = MachineSpec::t3d().with_context(RunContext::unmemoized());
+        let mut direct = MeasuredCost::new(Box::new(unmemoized.build().unwrap()));
         assert_eq!(
             from_spec.call_cycles(TransferKind::Deposit, 1000, 1),
             direct.call_cycles(TransferKind::Deposit, 1000, 1)

@@ -155,7 +155,7 @@ pub mod robustness {
 ///
 /// The serving layer accumulates these with cheap per-request atomics —
 /// *not* by installing a [`Recorder`] on the probing engines, which would
-/// bypass the per-process probe memo and force every served probe onto the
+/// bypass the server's probe memo and force every served probe onto the
 /// cold path. `/metrics` and the shutdown report render them through a
 /// [`CounterSet`], so they sort canonically next to the
 /// [`robustness`] counters the backing sweeps produce.

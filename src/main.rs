@@ -28,7 +28,7 @@ use gasnub::fft::run_benchmark;
 use gasnub::fft::scalability;
 use gasnub::machines::{
     CounterSet, FaultPlan, Machine, MachineId, MachineRegistry, MachineSpec, MeasureLimits,
-    ProbeOp, ProbeRequest, ProbeTier, RingRecorder, SpawnEngine,
+    ProbeOp, ProbeRequest, ProbeTier, RingRecorder, RunContext, SpawnEngine,
 };
 
 fn usage() -> ! {
@@ -190,6 +190,8 @@ struct CommonOpts {
     counters: Option<String>,
     counters_csv: Option<String>,
     fsync_every: Option<u64>,
+    /// The process context, or a cold one under `--cold`.
+    ctx: RunContext,
 }
 
 impl CommonOpts {
@@ -221,13 +223,10 @@ impl CommonOpts {
         all
     }
 
-    /// Parses the shared options out of an already-split flag list and
-    /// applies the process-wide ones (`--cold` disables the warm execution
-    /// path: probe memoization, fast priming, and every analytic shortcut).
+    /// Parses the shared options out of an already-split flag list
+    /// (`--cold` runs in a cold context: no probe memo, full-statistics
+    /// priming, the same answers at every tier).
     fn parse(flags: &[(String, String)]) -> CommonOpts {
-        if flag(flags, "cold").is_some() {
-            gasnub::memsim::set_cold_path(true);
-        }
         let tier = match flag(flags, "tier") {
             None => ProbeTier::Simulate,
             Some(v) => ProbeTier::parse(v).unwrap_or_else(|| {
@@ -249,6 +248,10 @@ impl CommonOpts {
             counters: flag(flags, "counters").map(str::to_string),
             counters_csv: flag(flags, "counters-csv").map(str::to_string),
             fsync_every: flag(flags, "fsync-every").map(|v| parse_num("--fsync-every", v)),
+            ctx: match flag(flags, "cold") {
+                Some(_) => RunContext::cold(),
+                None => RunContext::default(),
+            },
         }
     }
 
@@ -313,7 +316,7 @@ fn trace_cmd(registry: &MachineRegistry, args: &[String]) {
     }
     let ws: u64 = flag(&flags, "ws").map_or(4 << 20, |v| parse_num("--ws", v));
     let stride: u64 = flag(&flags, "stride").map_or(1, |v| parse_num("--stride", v));
-    let spec = build_spec(registry, label, opts.plan.as_ref());
+    let spec = build_spec(registry, label, opts.plan.as_ref()).with_context(opts.ctx.clone());
     let mut engine = spec.spawn_engine().unwrap_or_else(|e| fail(e));
     engine.set_recorder(Box::new(RingRecorder::new(8)));
     let Some(mb_s) = op.measure(&mut engine, ws, stride) else {
@@ -376,8 +379,8 @@ fn faults_cmd(registry: &MachineRegistry, args: &[String]) {
     let torus = gasnub::faults::canonical_torus();
     let channel_faults = plan.channel_faults_for(&torus);
     let impact = plan.remote_impact().unwrap_or_else(|e| fail(e));
-    let healthy_spec = build_spec(registry, label, None);
-    let degraded_spec = build_spec(registry, label, Some(&plan));
+    let healthy_spec = build_spec(registry, label, None).with_context(opts.ctx.clone());
+    let degraded_spec = build_spec(registry, label, Some(&plan)).with_context(opts.ctx.clone());
     let healthy = healthy_spec.spawn_engine().unwrap_or_else(|e| fail(e));
 
     println!(
@@ -513,7 +516,7 @@ fn sweep_cmd(registry: &MachineRegistry, args: &[String]) {
     let opts = CommonOpts::parse(&flags);
     let tier = opts.effective_tier();
     let plan = opts.plan;
-    let spec = build_spec(registry, label, plan.as_ref());
+    let spec = build_spec(registry, label, plan.as_ref()).with_context(opts.ctx.clone());
     let threads = opts.threads;
 
     // The checkpoint carries the machine description's hash, so resuming

@@ -11,7 +11,7 @@ use gasnub::analytic::TieredSpec;
 use gasnub::core::json::Json;
 use gasnub::core::{Grid, SweepOp};
 use gasnub::machines::{
-    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, SpawnEngine,
+    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RunContext, SpawnEngine,
 };
 
 fn repo_file(rel: &str) -> PathBuf {
@@ -79,11 +79,10 @@ fn agreement_sweep(name: &str, spec: &MachineSpec) -> Vec<Residual> {
     let tiered = TieredSpec::new(spec.clone(), ProbeTier::Auto)
         .unwrap_or_else(|e| panic!("{name}: analytic model must build: {e}"));
     let mut auto = tiered.spawn_engine().unwrap();
-    // The recorder keeps `sim` off the probe memo: `auto` memoizes the
-    // cells it simulates, and the comparison must be against a separate
-    // simulation, not that memo entry.
-    let mut sim = spec.spawn_engine().unwrap();
-    sim.set_recorder(Box::new(RingRecorder::new(4)));
+    // `sim` is unmemoized: `auto` memoizes the cells it simulates, and the
+    // comparison must be against a separate simulation, not that memo entry.
+    let unmemoized = spec.clone().with_context(RunContext::unmemoized());
+    let mut sim = unmemoized.spawn_engine().unwrap();
     let grid = Grid::quick();
     let mut residuals = Vec::new();
     for op in SweepOp::all() {

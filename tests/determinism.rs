@@ -7,7 +7,7 @@ use gasnub::core::{sweep_surface, CostModel, SweepOp};
 use gasnub::fft::run_benchmark;
 use gasnub::machines::ProbeOp::{LocalCopy, LocalLoad, RemoteDeposit, RemoteFetch};
 use gasnub::machines::{
-    Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, RingRecorder,
+    Machine, MachineId, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, RunContext,
     TransferEngine,
 };
 
@@ -15,13 +15,14 @@ fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
     ProbeRequest::new(op, ws, stride)
 }
 
-/// A fast engine that stays off the process-wide probe memo: the recorder
-/// makes every probe re-simulate, so two engines built from one spec are
-/// compared simulation against simulation, not a table against its source.
+/// A fast engine in an unmemoized context: every probe re-simulates, so two
+/// engines built from one spec are compared simulation against simulation,
+/// not a table against its source.
 fn fast(spec: MachineSpec) -> TransferEngine {
-    let mut m = spec.with_limits(MeasureLimits::fast()).build().unwrap();
-    m.set_recorder(Box::new(RingRecorder::new(4)));
-    m
+    spec.with_limits(MeasureLimits::fast())
+        .with_context(RunContext::unmemoized())
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -175,9 +176,11 @@ fn parallel_cli_sweeps_write_byte_identical_checkpoints() {
 
 /// The warm path's acceptance bar: a default (warm) sweep — memoized
 /// probes, stats-free priming, run-granular scheduling, batched fsync —
-/// leaves a checkpoint byte-identical to a `--cold` sweep (full cold
-/// simulation, fsync per cell) at every thread count, for every reference
-/// machine. The warm path is an optimization, never a different answer.
+/// leaves a checkpoint byte-identical to a `--cold` sweep (no memo,
+/// full-statistics priming, fsync per cell) at every thread count, for
+/// every reference machine, and so does a `--tier auto` sweep: `--cold`
+/// never changes which tier answers a cell. The warm path is an
+/// optimization, never a different answer.
 #[test]
 fn warm_sweeps_write_byte_identical_checkpoints_to_cold_sweeps() {
     let scratch = |tag: &str| {
@@ -222,6 +225,18 @@ fn warm_sweeps_write_byte_identical_checkpoints_to_cold_sweeps() {
             let _ = std::fs::remove_file(&warm_ckpt);
         }
         let _ = std::fs::remove_file(&cold_ckpt);
+        let auto = |tag: &str, extra: &[&str]| {
+            let ckpt = scratch(&format!("{machine}-auto-{tag}"));
+            sweep(machine, &ckpt, &[&["--tier", "auto"], extra].concat());
+            let bytes = std::fs::read(&ckpt).unwrap();
+            let _ = std::fs::remove_file(&ckpt);
+            bytes
+        };
+        assert_eq!(
+            auto("cold", &["--cold"]),
+            auto("warm", &[]),
+            "{machine} --tier auto: warm checkpoint must match --cold"
+        );
     }
 }
 

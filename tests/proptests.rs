@@ -255,6 +255,14 @@ fn served_sweeps_match_single_threaded_oracle() {
     let server = Server::bind(ServeConfig::new("127.0.0.1:0", root.join("state"))).unwrap();
     let addr = server.local_addr();
     std::thread::spawn(move || server.run());
+    // One request on a fresh connection; returns the raw response.
+    let exchange = move |request: String| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        raw
+    };
 
     let registry = MachineRegistry::builtin();
     const MACHINES: [&str; 3] = ["t3d", "t3e", "dec8400"];
@@ -319,16 +327,11 @@ fn served_sweeps_match_single_threaded_oracle() {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-                    let request = format!(
+                    exchange(format!(
                         "POST /v1/sweep HTTP/1.1\r\nHost: gasnub\r\nConnection: close\r\n\
                          Content-Length: {}\r\n\r\n{body}",
                         body.len()
-                    );
-                    stream.write_all(request.as_bytes()).unwrap();
-                    let mut raw = Vec::new();
-                    stream.read_to_end(&mut raw).unwrap();
-                    String::from_utf8(raw).unwrap()
+                    ))
                 })
             })
             .collect();
@@ -346,6 +349,18 @@ fn served_sweeps_match_single_threaded_oracle() {
                 "{machine} {} with {clients} interleaved clients must match \
                  the single-threaded oracle",
                 op.label()
+            );
+        }
+        // The server's memo is its own: its first sweep cannot be answered
+        // from the entries the oracle wrote, so it simulates every cell.
+        if case == 1 {
+            let raw = exchange("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n".into());
+            let metrics = Json::parse(raw.split_once("\r\n\r\n").unwrap().1).unwrap();
+            let memo = ["memo.hits", "memo.misses"].map(|name| metrics.get(name)?.as_u64());
+            assert_eq!(
+                memo,
+                [Some(0), Some(grid.cells() as u64)],
+                "a fresh server's first sweep simulates every cell"
             );
         }
     });

@@ -357,10 +357,11 @@ fn cli_serve_boots_and_reports() {
     );
 }
 
-/// ISSUE satellite: the serving counter path must not force probes cold.
-/// Repeated identical probes hit the per-process memo (observed via the
-/// memo's own statistics on `/metrics`) while `serve.probes` still counts
-/// every request — counters and the warm path coexist.
+/// The serving counter path must not force probes cold. The first of three
+/// identical probes simulates and the other two hit the server's own memo
+/// (observed via the memo's statistics on `/metrics`, which count nothing
+/// but this server's probes) while `serve.probes` still counts every
+/// request — counters and the warm path coexist.
 #[test]
 fn serving_probes_stay_on_the_warm_path() {
     let dir = scratch("warm");
@@ -378,8 +379,10 @@ fn serving_probes_stay_on_the_warm_path() {
     );
     let (_, _, metrics) = http(addr, "GET", "/metrics", "");
     assert_eq!(counter(&metrics, "serve.probes"), 3);
-    assert!(
-        counter(&metrics, "memo.hits") >= 2,
+    let memo = ["memo.hits", "memo.misses", "memo.dropped"].map(|name| counter(&metrics, name));
+    assert_eq!(
+        memo,
+        [2, 1, 0],
         "repeated served probes must hit the probe memo (warm path): {metrics}"
     );
     shutdown(addr);
