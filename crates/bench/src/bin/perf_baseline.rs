@@ -24,6 +24,12 @@
 //! durably after every 16th cell and once at the end (a killed run loses
 //! at most 15 cells).
 //!
+//! Two more per-machine columns, ungated, time the engine lifecycle for
+//! every zoo machine: `spawn_us`, the median of 50 `spawn_engine` calls,
+//! and `flush_probe_us`, the median of a 512 B load probe on an
+//! unmemoized engine — a probe that touches a few lines, so it times
+//! almost only the flush every probe starts with.
+//!
 //! Plus golden-trace overhead (a `RingRecorder` per probe, which also
 //! bypasses the memo — genuine recomputation), checkpoint-write costs
 //! (fsync per write, none, and one fsync in 16 writes), and a thread-pool
@@ -46,8 +52,8 @@ use gasnub_core::json::Json;
 use gasnub_core::pool::run_indexed_chunked;
 use gasnub_core::{auto_threads, run_indexed, storage, Grid, ResilientSweep, SweepOp};
 use gasnub_machines::{
-    Machine, MachineSpec, MeasureLimits, ProbePath, ProbeTier, RingRecorder, RunContext,
-    SpawnEngine, TransferEngine,
+    Machine, MachineRegistry, MachineSpec, MeasureLimits, ProbeOp, ProbePath, ProbeRequest,
+    ProbeTier, RingRecorder, RunContext, SpawnEngine, TransferEngine,
 };
 
 /// The CI gate: fail `--check` when a guarded column drops below this
@@ -219,6 +225,39 @@ fn trace_overhead_pct(spec: &MachineSpec, grid: &Grid) -> f64 {
     ratios[ratios.len() / 2] * 100.0
 }
 
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The engine-lifecycle columns of `spec`: median microseconds of a
+/// `spawn_engine` call (each engine dropped before the next spawn, as a
+/// server drops its per-request engine) and of a 512 B load probe on one
+/// unmemoized engine.
+fn lifecycle_micros(spec: &MachineSpec) -> (f64, f64) {
+    let spec = spec.clone().with_context(RunContext::unmemoized());
+    let spawn = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let engine = spec.spawn_engine().expect("zoo machines always build");
+            let micros = start.elapsed().as_secs_f64() * 1e6;
+            drop(engine);
+            micros
+        })
+        .collect();
+    let mut engine = spec.spawn_engine().expect("zoo machines always build");
+    let probe = ProbeRequest::new(ProbeOp::LocalLoad, 512, 1);
+    let flush = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(engine.probe(&probe).is_some());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    (median(spawn), median(flush))
+}
+
 /// Jobs/sec pushing `n` trivial jobs through the pool at the given
 /// claiming granularity (`chunk = 0` means the auto-chunked
 /// [`run_indexed`] entry point).
@@ -356,7 +395,19 @@ fn main() {
 fn measure_report(grid: &Grid, threads: usize) -> Json {
     let grid = grid.clone();
 
-    let mut machines = std::collections::BTreeMap::new();
+    // Every zoo machine gets the lifecycle columns; the sweep columns below
+    // join them for the three paper machines.
+    let mut machines = std::collections::BTreeMap::<String, Json>::new();
+    for spec in MachineRegistry::builtin().specs() {
+        let (spawn_us, flush_probe_us) = lifecycle_micros(spec);
+        machines.insert(
+            spec.label().to_string(),
+            Json::object([
+                ("spawn_us", rate(spawn_us)),
+                ("flush_probe_us", rate(flush_probe_us)),
+            ]),
+        );
+    }
     for (label, spec) in [
         ("dec8400", MachineSpec::dec8400()),
         ("t3d", MachineSpec::t3d()),
@@ -386,9 +437,11 @@ fn measure_report(grid: &Grid, threads: usize) -> Json {
         } else {
             (cold_1, warm_first_1, warm_memo_1)
         };
-        machines.insert(
-            label.to_string(),
-            Json::object([
+        let Some(Json::Object(columns)) = machines.get_mut(label) else {
+            unreachable!("every paper machine is a zoo machine");
+        };
+        columns.extend(
+            [
                 ("cold_cells_per_sec_1t", rate(cold_1)),
                 ("cold_cells_per_sec_nt", rate(cold_n)),
                 ("warm_first_cells_per_sec_1t", rate(warm_first_1)),
@@ -409,7 +462,8 @@ fn measure_report(grid: &Grid, threads: usize) -> Json {
                     "trace_overhead_pct",
                     Json::Str(format!("{trace_overhead_pct:.1}")),
                 ),
-            ]),
+            ]
+            .map(|(key, value)| (key.to_string(), value)),
         );
     }
 

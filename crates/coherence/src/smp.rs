@@ -206,6 +206,13 @@ impl SnoopingSmp {
     /// Runs a producer store pass on `node`, recording ownership in the
     /// directory (the "producing data by storing it" half of §5.2).
     ///
+    /// The pass only prepares state for a following
+    /// [`SnoopingSmp::consumer_pull`], so it streams through
+    /// [`MemoryEngine::prime`], recording each line's directory write as
+    /// the store reaches it: stats-free, or with `full_stats` through the
+    /// full-statistics path (the `--cold` path). Both leave identical
+    /// state.
+    ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
@@ -213,23 +220,20 @@ impl SnoopingSmp {
         &mut self,
         node: usize,
         trace: impl IntoIterator<Item = Access>,
-    ) -> RunStats {
-        let line_bytes = self.directory.line_bytes();
+        full_stats: bool,
+    ) {
+        let directory = &mut self.directory;
+        let line_bytes = directory.line_bytes();
         let mut last_line = u64::MAX;
         let trace = trace.into_iter().inspect(|a| {
             debug_assert!(a.kind.is_write(), "producer traces must be store passes");
-        });
-        // Record directory writes line-granularly while running the trace.
-        let mut accesses: Vec<Access> = Vec::new();
-        for a in trace {
             let line = a.addr / line_bytes;
             if line != last_line {
-                self.directory.record_write(node, a.addr);
+                directory.record_write(node, a.addr);
                 last_line = line;
             }
-            accesses.push(a);
-        }
-        self.engines[node].run_trace(accesses)
+        });
+        self.engines[node].prime(trace, full_stats);
     }
 
     /// Is the line containing `addr` still dirty in `node`'s caches?
@@ -269,8 +273,7 @@ impl SnoopingSmp {
         let mut cache_supplies = 0u64;
         let mut home_supplies = 0u64;
 
-        let accesses: Vec<Access> = trace.into_iter().collect();
-        for access in &accesses {
+        for access in trace {
             let addr = access.addr;
 
             if access.kind.is_write() {
@@ -450,7 +453,7 @@ mod tests {
 
         // Remote: P1 produces, P0 pulls.
         let mut sys = smp();
-        sys.producer_store(1, StorePass::new(0, words, 1));
+        sys.producer_store(1, StorePass::new(0, words, 1), false);
         let remote = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         let remote_bw = sys.bandwidth_mb_s(0, &remote);
 
@@ -466,7 +469,7 @@ mod tests {
         // 16 KB fits the producer's 64 KB L2, so lines stay Modified there.
         let words = 16 * 1024 / 8;
         let mut sys = smp();
-        sys.producer_store(1, StorePass::new(0, words, 1));
+        sys.producer_store(1, StorePass::new(0, words, 1), false);
         let stats = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         assert!(
             stats.dram_streamed_fills > 0,
@@ -483,7 +486,7 @@ mod tests {
         // 1 MB evicts the producer's caches almost entirely.
         let words = 1024 * 1024 / 8;
         let mut sys = smp();
-        sys.producer_store(1, StorePass::new(0, words, 1));
+        sys.producer_store(1, StorePass::new(0, words, 1), false);
         let stats = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         let cache_frac = stats.dram_streamed_fills as f64 / stats.dram_accesses as f64;
         assert!(
@@ -497,7 +500,7 @@ mod tests {
         let words = 512 * 1024 / 8;
         let run = |stride: u64| {
             let mut sys = smp();
-            sys.producer_store(1, StorePass::new(0, words, 1));
+            sys.producer_store(1, StorePass::new(0, words, 1), false);
             let stats = sys.consumer_pull(0, StridedPass::new(0, words, stride));
             sys.bandwidth_mb_s(0, &stats)
         };
@@ -509,11 +512,32 @@ mod tests {
         );
     }
 
+    /// The producer pass primes stats-free by default and through the
+    /// full-statistics path under a cold context; both must leave the same
+    /// directory and the same state for the pull that follows.
+    #[test]
+    fn producer_pass_is_identical_on_both_priming_paths() {
+        let words = 32 * 1024 / 8;
+        let run = |full_stats: bool| {
+            let mut sys = smp();
+            sys.producer_store(1, StorePass::new(0, words, 1), full_stats);
+            let _ = sys.consumer_pull(0, StridedPass::new(0, words, 1));
+            // Producing again invalidates the consumer's copies.
+            sys.producer_store(1, StorePass::new(0, words, 1), full_stats);
+            let pull = sys.consumer_pull(0, StridedPass::new(0, words, 3));
+            let directory = sys.directory();
+            (*directory.tally(), directory.invalidations(), pull)
+        };
+        let stats_free = run(false);
+        assert!(stats_free.1 > 0, "the second pass must invalidate copies");
+        assert_eq!(stats_free, run(true));
+    }
+
     #[test]
     fn consumer_rereads_hit_locally() {
         let words = 8 * 1024 / 8; // fits consumer caches
         let mut sys = smp();
-        sys.producer_store(1, StorePass::new(0, words, 1));
+        sys.producer_store(1, StorePass::new(0, words, 1), false);
         let first = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         let second = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         assert!(
@@ -542,7 +566,7 @@ mod tests {
         let run = |jitter: Option<BusJitterConfig>| {
             let mut sys = smp();
             sys.set_bus_jitter(jitter).unwrap();
-            sys.producer_store(1, StorePass::new(0, words, 1));
+            sys.producer_store(1, StorePass::new(0, words, 1), false);
             let stats = sys.consumer_pull(0, StridedPass::new(0, words, 1));
             stats.cycles
         };
@@ -563,7 +587,7 @@ mod tests {
     fn flush_restores_cold_state() {
         let words = 8 * 1024 / 8;
         let mut sys = smp();
-        sys.producer_store(1, StorePass::new(0, words, 1));
+        sys.producer_store(1, StorePass::new(0, words, 1), false);
         let _ = sys.consumer_pull(0, StridedPass::new(0, words, 1));
         sys.flush();
         assert_eq!(sys.directory().tracked_lines(), 0);

@@ -587,7 +587,7 @@ impl TransferEngine {
                 // Producer (P1) writes the data; consumer (P0) pulls after a
                 // synchronization point (§5.2).
                 let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                let _ = smp.producer_store(1, Guarded::new(produce, t.cancel.clone()));
+                smp.producer_store(1, Guarded::new(produce, t.cancel.clone()), t.full_stats);
                 let measured = limits.measure_words(words);
                 let (bytes, stats) = if t.op == ProbeOp::RemoteLoad {
                     let pull = StridedPass::new(0, words, t.stride).take(measured as usize);
