@@ -17,8 +17,12 @@ use crate::mesi::{MesiState, ProcessorOp, SnoopOp, TransitionTally};
 pub struct Directory {
     nodes: usize,
     line_bytes: u64,
-    /// line index -> per-node MESI states (absent = all Invalid).
-    lines: HashMap<u64, Vec<MesiState>>,
+    /// line index -> where the line's states start in `states` (absent =
+    /// all Invalid).
+    lines: HashMap<u64, usize>,
+    /// Every tracked line's per-node MESI states, `nodes` per line, in one
+    /// allocation rather than one per line.
+    states: Vec<MesiState>,
     tally: TransitionTally,
     invalidations: u64,
 }
@@ -39,6 +43,7 @@ impl Directory {
             nodes,
             line_bytes,
             lines: HashMap::new(),
+            states: Vec::new(),
             tally: TransitionTally::new(),
             invalidations: 0,
         }
@@ -53,34 +58,48 @@ impl Directory {
         addr / self.line_bytes
     }
 
+    /// The per-node states of the line containing `addr`, if tracked.
+    fn states(&self, addr: Addr) -> Option<&[MesiState]> {
+        let start = *self.lines.get(&self.line_of(addr))?;
+        Some(&self.states[start..start + self.nodes])
+    }
+
+    /// The per-node states of `line`, tracking it (all Invalid) if it is
+    /// not yet. Takes the fields it needs so the tally stays borrowable.
+    fn states_mut<'a>(
+        lines: &mut HashMap<u64, usize>,
+        states: &'a mut Vec<MesiState>,
+        nodes: usize,
+        line: u64,
+    ) -> &'a mut [MesiState] {
+        let start = *lines.entry(line).or_insert_with(|| {
+            states.resize(states.len() + nodes, MesiState::Invalid);
+            states.len() - nodes
+        });
+        &mut states[start..start + nodes]
+    }
+
     /// Current state of `node`'s copy of the line containing `addr`.
     pub fn state(&self, node: usize, addr: Addr) -> MesiState {
-        let line = self.line_of(addr);
-        self.lines
-            .get(&line)
+        self.states(addr)
             .map(|v| v[node])
             .unwrap_or(MesiState::Invalid)
     }
 
     /// The node holding the line Modified, if any.
     pub fn dirty_owner(&self, addr: Addr) -> Option<usize> {
-        let line = self.line_of(addr);
-        self.lines
-            .get(&line)?
+        self.states(addr)?
             .iter()
             .position(|&s| s == MesiState::Modified)
     }
 
     /// Whether any node other than `node` has a valid copy.
     pub fn others_have_copy(&self, node: usize, addr: Addr) -> bool {
-        let line = self.line_of(addr);
-        match self.lines.get(&line) {
-            Some(v) => v
-                .iter()
+        self.states(addr).is_some_and(|v| {
+            v.iter()
                 .enumerate()
-                .any(|(i, &s)| i != node && s != MesiState::Invalid),
-            None => false,
-        }
+                .any(|(i, &s)| i != node && s != MesiState::Invalid)
+        })
     }
 
     /// Records that `node` completed a read of the line, snooping all peers.
@@ -88,11 +107,7 @@ impl Directory {
     pub fn record_read(&mut self, node: usize, addr: Addr) -> bool {
         let others = self.others_have_copy(node, addr);
         let line = self.line_of(addr);
-        let nodes = self.nodes;
-        let states = self
-            .lines
-            .entry(line)
-            .or_insert_with(|| vec![MesiState::Invalid; nodes]);
+        let states = Self::states_mut(&mut self.lines, &mut self.states, self.nodes, line);
         let mut supplied = false;
         for (i, s) in states.iter_mut().enumerate() {
             if i == node {
@@ -113,11 +128,7 @@ impl Directory {
     /// peers. Returns `true` when a dirty peer had to flush first.
     pub fn record_write(&mut self, node: usize, addr: Addr) -> bool {
         let line = self.line_of(addr);
-        let nodes = self.nodes;
-        let states = self
-            .lines
-            .entry(line)
-            .or_insert_with(|| vec![MesiState::Invalid; nodes]);
+        let states = Self::states_mut(&mut self.lines, &mut self.states, self.nodes, line);
         let mut supplied = false;
         for (i, s) in states.iter_mut().enumerate() {
             if i == node {
@@ -139,16 +150,17 @@ impl Directory {
     /// Records that `node` evicted (wrote back) its copy of the line.
     pub fn record_eviction(&mut self, node: usize, addr: Addr) {
         let line = self.line_of(addr);
-        if let Some(v) = self.lines.get_mut(&line) {
-            self.tally.record(v[node], MesiState::Invalid);
-            v[node] = MesiState::Invalid;
+        if let Some(&start) = self.lines.get(&line) {
+            let s = &mut self.states[start + node];
+            self.tally.record(*s, MesiState::Invalid);
+            *s = MesiState::Invalid;
         }
     }
 
     /// Number of lines with any non-Invalid copy.
     pub fn tracked_lines(&self) -> usize {
-        self.lines
-            .values()
+        self.states
+            .chunks(self.nodes)
             .filter(|v| v.iter().any(|&s| s != MesiState::Invalid))
             .count()
     }
@@ -173,6 +185,7 @@ impl Directory {
     /// Forgets all sharing state and statistics.
     pub fn clear(&mut self) {
         self.lines.clear();
+        self.states.clear();
         self.tally.clear();
         self.invalidations = 0;
     }

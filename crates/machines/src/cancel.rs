@@ -190,6 +190,40 @@ mod tests {
     }
 
     #[test]
+    fn a_fast_forwarded_prime_still_checks_the_token() {
+        use gasnub_memsim::config::presets;
+        use gasnub_memsim::trace::StridedPass;
+        use gasnub_memsim::MemoryEngine;
+        use std::cell::Cell;
+
+        // A steady pass the fast-forward replays well before `cancel_at`
+        // accesses; cancelling there must still stop the prime within one
+        // check interval.
+        let cancel_at = 200_000;
+        let mut probe = MemoryEngine::new(presets::tiny_test_node());
+        probe.prime_trace(StridedPass::new(0, 1 << 20, 1).take(cancel_at as usize));
+        assert!(
+            probe.replayed_accesses() > 0,
+            "the stretch must be replayed"
+        );
+
+        let token = CancelToken::new();
+        let drawn = Cell::new(0u64);
+        let trace = StridedPass::new(0, 1 << 20, 1).take(1 << 19).inspect(|_| {
+            drawn.set(drawn.get() + 1);
+            if drawn.get() == cancel_at {
+                token.cancel();
+            }
+        });
+        let mut engine = MemoryEngine::new(presets::tiny_test_node());
+        let guarded = Guarded::new(trace, Some(token.clone()));
+        let err = catch_unwind(AssertUnwindSafe(|| engine.prime_trace(guarded)))
+            .expect_err("a cancelled prime must unwind");
+        assert!(err.downcast_ref::<CellCancelled>().is_some());
+        assert!(drawn.get() <= cancel_at + u64::from(CHECK_INTERVAL));
+    }
+
+    #[test]
     fn tokens_are_send_and_clone() {
         fn assert_send<T: Send + Clone>() {}
         assert_send::<CancelToken>();

@@ -4,22 +4,23 @@
 //! every cell would cost billions of trace events without changing any
 //! steady-state bandwidth, so benchmarks cap the *simulated* prefix of each
 //! pass. The caps are chosen so that (a) priming still fills the largest
-//! cache completely and (b) the measured prefix runs long enough to reach
-//! steady state. Results remain deterministic.
+//! cache completely (`tests/zoo.rs` asserts both caps cover every zoo
+//! machine's largest cache) and (b) the measured prefix runs long enough
+//! to reach steady state. Results remain deterministic.
 
 /// Caps on the simulated portion of a benchmark pass (in 64-bit words).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeasureLimits {
     /// Maximum words simulated in the measured pass.
     pub max_measure_words: u64,
-    /// Maximum words simulated in the priming pass. Must comfortably exceed
-    /// the largest cache in the machine (the 8400's 4 MB L3 = 512 Ki words).
+    /// Maximum words simulated in the priming pass. Must be at least the
+    /// largest cache of the machine (numa2s's 8 MiB L3 = 1 Mi words).
     pub max_prime_words: u64,
 }
 
 impl MeasureLimits {
-    /// Default limits: measure ≤ 256 Ki words (2 MB), prime ≤ 2 Mi words
-    /// (16 MB) — 4x the largest cache in any modelled machine.
+    /// Default limits: measure ≤ 256 Ki words (2 MiB), prime ≤ 2 Mi words
+    /// (16 MiB) — twice the largest zoo cache (numa2s's 8 MiB L3).
     pub fn new() -> Self {
         MeasureLimits {
             max_measure_words: 256 * 1024,
@@ -27,9 +28,10 @@ impl MeasureLimits {
         }
     }
 
-    /// Small limits for fast unit tests (measure ≤ 32 Ki words, prime ≤
-    /// 1 Mi words = 8 MB). The prime cap still covers the largest modelled
-    /// cache (the 8400's 4 MB L3) with room to evict the measured region.
+    /// Small limits (measure ≤ 32 Ki words, prime ≤ 1 Mi words = 8 MiB), the
+    /// caps `gasnub sweep` and `gasnub serve` run at. The prime cap equals
+    /// the largest zoo cache (numa2s's 8 MiB L3): it still fills it, but
+    /// leaves no room to evict the measured region from it.
     pub fn fast() -> Self {
         MeasureLimits {
             max_measure_words: 32 * 1024,
@@ -66,12 +68,6 @@ mod tests {
         assert_eq!(l.measure_words(u64::MAX), l.max_measure_words);
         assert_eq!(l.prime_words(100), 100);
         assert_eq!(l.prime_words(u64::MAX), l.max_prime_words);
-    }
-
-    #[test]
-    fn prime_cap_exceeds_largest_cache() {
-        // The 8400 L3 is 4 MB = 512 Ki words; priming must cover it.
-        assert!(MeasureLimits::new().max_prime_words >= 4 * 512 * 1024 / 4);
     }
 
     #[test]

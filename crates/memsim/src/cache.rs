@@ -127,19 +127,19 @@ impl LookupOutcome {
 /// LRU stamp shifted above the [`VALID`] and [`DIRTY`] bits. An invalid way
 /// is all zero bits, so a store of invalid ways comes zeroed from the
 /// allocator instead of being written way by way.
-type Way = [u64; 2];
+pub(crate) type Way = [u64; 2];
 
 /// An invalid way.
-const INVALID: Way = [0, 0];
+pub(crate) const INVALID: Way = [0, 0];
 /// State-word bit: the way holds a line.
 const VALID: u64 = 1;
 /// State-word bit: the line is dirty.
 const DIRTY: u64 = 2;
 /// The LRU stamp's position above the state bits.
-const STAMP_SHIFT: u32 = 2;
+pub(crate) const STAMP_SHIFT: u32 = 2;
 
 #[inline]
-fn is_valid(way: &Way) -> bool {
+pub(crate) fn is_valid(way: &Way) -> bool {
     way[1] & VALID != 0
 }
 
@@ -160,28 +160,31 @@ fn is_dirty(way: &Way) -> bool {
 /// [`Cache::flush`] clears only the sets allocated into since the store was
 /// built or last flushed. A flushed cache is therefore exactly a
 /// just-constructed one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     config: CacheConfig,
     /// `sets * associativity` ways, row-major by set; empty until the
     /// first access builds it.
-    ways: Vec<Way>,
+    pub(crate) ways: Vec<Way>,
     /// One bit per set, set by the set's first fill since the store was
     /// built or flushed: the sets [`Cache::flush`] must clear. Built with
     /// `ways`.
     touched: Vec<u64>,
     /// `log2(line_bytes)`; the line size is a validated power of two, so
     /// `addr >> line_shift` is exactly `addr / line_bytes`.
-    line_shift: u32,
+    pub(crate) line_shift: u32,
     /// `num_sets - 1`; the set count is a validated power of two, so
     /// `line & set_mask` is exactly `line % num_sets`.
     set_mask: u64,
     /// `log2(num_sets)`; `line >> set_shift` is exactly `line / num_sets`.
-    set_shift: u32,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    write_backs: u64,
+    pub(crate) set_shift: u32,
+    pub(crate) tick: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) write_backs: u64,
+    /// Fills into an invalid way: non-zero growth means the cache is still
+    /// filling.
+    pub(crate) cold_fills: u64,
 }
 
 impl Cache {
@@ -205,6 +208,7 @@ impl Cache {
             hits: 0,
             misses: 0,
             write_backs: 0,
+            cold_fills: 0,
         })
     }
 
@@ -248,6 +252,7 @@ impl Cache {
         self.hits = 0;
         self.misses = 0;
         self.write_backs = 0;
+        self.cold_fills = 0;
     }
 
     /// Invalidates all lines and clears statistics. Only the sets allocated
@@ -304,7 +309,7 @@ impl Cache {
     }
 
     #[inline]
-    fn locate(&self, addr: Addr) -> (usize, u64) {
+    pub(crate) fn locate(&self, addr: Addr) -> (usize, u64) {
         // Line size and set count are validated powers of two, so shifts and
         // masks compute exactly the same set/tag as the division form.
         let line = addr >> self.line_shift;
@@ -371,6 +376,7 @@ impl Cache {
         for (i, w) in ways.iter().enumerate() {
             if !is_valid(w) {
                 self.touched[set / 64] |= 1 << (set % 64);
+                self.cold_fills += 1;
                 victim = i;
                 break;
             }

@@ -102,10 +102,23 @@ pub struct DramOutcome {
 }
 
 #[derive(Debug, Clone, Copy, Default)]
-struct BankState {
-    open_row: Option<u64>,
+pub(crate) struct BankState {
+    pub(crate) open_row: Option<u64>,
     /// Simulated time at which the bank becomes free again.
-    busy_until: f64,
+    pub(crate) busy_until: f64,
+    /// Accesses this bank has served.
+    pub(crate) accesses: u64,
+    /// The [`Dram::epoch`] of the bank's latest access.
+    epoch: u64,
+}
+
+/// The epoch is bookkeeping for [`Dram::min_slack`], not state.
+impl PartialEq for BankState {
+    fn eq(&self, other: &Self) -> bool {
+        self.open_row == other.open_row
+            && self.busy_until.to_bits() == other.busy_until.to_bits()
+            && self.accesses == other.accesses
+    }
 }
 
 /// A banked, open-row DRAM model.
@@ -116,7 +129,7 @@ struct BankState {
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
-    banks: Vec<BankState>,
+    pub(crate) banks: Vec<BankState>,
     /// `log2(interleave_bytes)`; interleave is a validated power of two.
     interleave_shift: u32,
     /// `banks - 1`; the bank count is a validated power of two.
@@ -125,10 +138,27 @@ pub struct Dram {
     /// interleave_bytes` (validated) and all three are powers of two,
     /// `addr >> row_shift` equals
     /// `(addr / (interleave * banks)) * interleave / row_bytes` exactly.
-    row_shift: u32,
-    row_hits: u64,
-    row_misses: u64,
-    bank_conflicts: u64,
+    pub(crate) row_shift: u32,
+    pub(crate) row_hits: u64,
+    pub(crate) row_misses: u64,
+    pub(crate) bank_conflicts: u64,
+    /// The smallest `now - busy_until` seen since this was last set to
+    /// infinity by an access whose stall could matter: one whose cost is
+    /// charged, or a bank's first access since [`Dram::epoch`] last moved
+    /// (whose start fixes the bank's later times). How far those accesses
+    /// were from a stall. An observation, not state: equality ignores it.
+    pub(crate) min_slack: f64,
+    pub(crate) epoch: u64,
+}
+
+impl PartialEq for Dram {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.banks == other.banks
+            && self.row_hits == other.row_hits
+            && self.row_misses == other.row_misses
+            && self.bank_conflicts == other.bank_conflicts
+    }
 }
 
 impl Dram {
@@ -149,6 +179,8 @@ impl Dram {
             row_hits: 0,
             row_misses: 0,
             bank_conflicts: 0,
+            min_slack: f64::INFINITY,
+            epoch: 0,
         })
     }
 
@@ -180,16 +212,29 @@ impl Dram {
         self.row_hits = 0;
         self.row_misses = 0;
         self.bank_conflicts = 0;
+        self.min_slack = f64::INFINITY;
     }
 
     /// Performs one burst access at simulated time `now`, returning the cost.
     #[inline]
     pub fn access(&mut self, addr: Addr, now: f64) -> DramOutcome {
+        self.access_as(addr, now, true)
+    }
+
+    /// [`Dram::access`], telling whether the caller charges the returned
+    /// cost (a stream prefetch's bank occupancy is not charged).
+    #[inline]
+    pub(crate) fn access_as(&mut self, addr: Addr, now: f64, charged: bool) -> DramOutcome {
         // Shift/mask forms of [`DramConfig::bank_of`] / [`DramConfig::row_of`]
         // (exact: the geometry is validated powers of two).
         let bank_idx = ((addr >> self.interleave_shift) & self.bank_mask) as usize;
         let row = addr >> self.row_shift;
         let bank = &mut self.banks[bank_idx];
+        bank.accesses += 1;
+        if charged || bank.epoch != self.epoch {
+            self.min_slack = self.min_slack.min(now - bank.busy_until);
+        }
+        bank.epoch = self.epoch;
 
         let stall = (bank.busy_until - now).max(0.0);
         if stall > 0.0 {

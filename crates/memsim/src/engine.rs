@@ -16,8 +16,10 @@ use crate::stats::RunStats;
 #[derive(Debug, Clone)]
 pub struct MemoryEngine {
     cpu: CpuConfig,
-    hierarchy: MemoryHierarchy,
-    now: f64,
+    pub(crate) hierarchy: MemoryHierarchy,
+    pub(crate) now: f64,
+    /// Priming accesses fast-forwarded instead of simulated.
+    pub(crate) replayed: u64,
 }
 
 impl MemoryEngine {
@@ -46,6 +48,7 @@ impl MemoryEngine {
             cpu: node.cpu,
             hierarchy,
             now: 0.0,
+            replayed: 0,
         })
     }
 
@@ -73,6 +76,14 @@ impl MemoryEngine {
     pub fn flush(&mut self) {
         self.hierarchy.flush();
         self.now = 0.0;
+        self.replayed = 0;
+    }
+
+    /// Priming accesses that [`MemoryEngine::prime_trace`] fast-forwarded
+    /// instead of simulating, since construction or the last
+    /// [`Self::flush`].
+    pub fn replayed_accesses(&self) -> u64 {
+        self.replayed
     }
 
     /// Runs every access of `trace`, returning the window statistics.
@@ -96,7 +107,6 @@ impl MemoryEngine {
                 AccessKind::Read => self.hierarchy.load(access.addr, self.now),
                 AccessKind::Write => self.hierarchy.store(access.addr, self.now),
             };
-            stats.latency.record(issue + cost.cycles);
             self.now += issue + cost.cycles;
             stats.accesses += 1;
             match access.kind {
@@ -115,29 +125,38 @@ impl MemoryEngine {
 
     /// Runs every access of `trace` for its *state effects only*: tags, LRU
     /// stamps, stream detectors, DRAM row/bank state, write-buffer occupancy
-    /// and the simulated clock advance exactly as in
-    /// [`MemoryEngine::run_trace`], but no [`RunStats`] (and in particular no
-    /// latency histogram, whose per-access `log2` dominates the priming
-    /// pass's cost) is assembled. Window counters the measured pass would
-    /// discard anyway are skipped.
+    /// and the simulated clock end exactly as after
+    /// [`MemoryEngine::run_trace`], but no [`RunStats`] is assembled and the
+    /// window counters the measured pass would discard anyway are skipped.
+    ///
+    /// A stretch of the pass that is provably periodic is fast-forwarded
+    /// instead of simulated (DESIGN.md §5e); every access is still
+    /// drawn from `trace`, and the result is bit-identical.
     pub fn prime_trace<I>(&mut self, trace: I)
     where
         I: IntoIterator<Item = Access>,
     {
         self.hierarchy.reset_window_stats();
-        for access in trace {
-            let issue = match access.kind {
-                AccessKind::Read => self.cpu.load_issue_cycles,
-                AccessKind::Write => self.cpu.store_issue_cycles,
-            } + self.cpu.loop_overhead_cycles;
-            let cost = match access.kind {
-                AccessKind::Read => self.hierarchy.prime_load(access.addr, self.now),
-                AccessKind::Write => self.hierarchy.prime_store(access.addr, self.now),
-            };
-            self.now += issue + cost.cycles;
-        }
+        crate::period::prime(self, trace.into_iter());
         let drain = self.hierarchy.drain_writes(self.now);
         self.now += drain;
+    }
+
+    /// Simulates one priming access, returning the cycles it added to the
+    /// clock.
+    #[inline(always)]
+    pub(crate) fn prime_step(&mut self, access: Access) -> f64 {
+        let issue = match access.kind {
+            AccessKind::Read => self.cpu.load_issue_cycles,
+            AccessKind::Write => self.cpu.store_issue_cycles,
+        } + self.cpu.loop_overhead_cycles;
+        let cost = match access.kind {
+            AccessKind::Read => self.hierarchy.prime_load(access.addr, self.now),
+            AccessKind::Write => self.hierarchy.prime_store(access.addr, self.now),
+        };
+        let cycles = issue + cost.cycles;
+        self.now += cycles;
+        cycles
     }
 
     /// Primes the hierarchy with one pass of `trace`: stats-free through

@@ -160,19 +160,19 @@ pub struct AccessCost {
 }
 
 /// Runtime state of a node memory hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryHierarchy {
     config: HierarchyConfig,
-    caches: Vec<Cache>,
-    streams: Vec<Option<StreamDetector>>,
-    dram_stream: Option<StreamDetector>,
-    dram: Dram,
-    write_buffer: Option<WriteBuffer>,
+    pub(crate) caches: Vec<Cache>,
+    pub(crate) streams: Vec<Option<StreamDetector>>,
+    pub(crate) dram_stream: Option<StreamDetector>,
+    pub(crate) dram: Dram,
+    pub(crate) write_buffer: Option<WriteBuffer>,
     miss_overlap: f64,
     /// `log2` of the last cache level's line size (the DRAM transfer
     /// granularity) — a validated power of two, so `addr >> last_line_shift`
     /// is exactly `addr / last_level_line_bytes()`.
-    last_line_shift: u32,
+    pub(crate) last_line_shift: u32,
     /// Scratch per-level stats for the current measurement window.
     level_stats: Vec<LevelStats>,
     dram_accesses: u64,
@@ -183,14 +183,14 @@ pub struct MemoryHierarchy {
     /// Outstanding write-buffer drain work (cycles) that the next DRAM fill
     /// must wait behind: reads and write drains share one DRAM pipe. Capped
     /// at the queue's total capacity — older entries have already drained.
-    write_debt: f64,
+    pub(crate) write_debt: f64,
     /// Origin of the most recent DRAM fill, for mixed-traffic detection.
-    last_fill_origin: Option<FillOrigin>,
+    pub(crate) last_fill_origin: Option<FillOrigin>,
     /// Counts down from [`MIXED_TRAFFIC_WINDOW`] after load- and
     /// store-originated fills interleave. While positive, untrained fills
     /// lose their miss overlap: the processor's few outstanding-miss slots
     /// are split between the two streams.
-    mixed_countdown: u32,
+    pub(crate) mixed_countdown: u32,
 }
 
 /// How many fills mixed-traffic mode persists after the last alternation.
@@ -198,7 +198,7 @@ const MIXED_TRAFFIC_WINDOW: u32 = 16;
 
 /// Whether a DRAM fill serves a load walk or a store's read-modify-write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FillOrigin {
+pub(crate) enum FillOrigin {
     Load,
     Store,
 }
@@ -383,7 +383,7 @@ impl MemoryHierarchy {
             }
             // The prefetch pipeline still occupies the bank, so row/bank
             // state advances, but the processor sees the pipelined rate.
-            let _ = self.dram.access(addr, now);
+            let _ = self.dram.access_as(addr, now, false);
             self.dram_streamed_line_cycles() * self.config.dram_stream_contention
         } else {
             let out = self.dram.access(addr, now);

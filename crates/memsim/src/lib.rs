@@ -53,6 +53,7 @@ pub mod dram;
 pub mod engine;
 pub mod error;
 pub mod hierarchy;
+mod period;
 pub mod replay;
 pub mod rng;
 pub mod stats;

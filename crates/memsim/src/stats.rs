@@ -29,69 +29,6 @@ impl LevelStats {
     }
 }
 
-/// A power-of-two latency histogram of per-access costs.
-///
-/// Bucket `k` counts accesses whose cycle cost `c` satisfies
-/// `2^(k-1) < c <= 2^k` (bucket 0 counts `c <= 1`). Useful for spotting a
-/// bimodal hit/miss split that an average would hide.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-}
-
-impl LatencyHistogram {
-    /// Records one access of `cycles` cost.
-    pub fn record(&mut self, cycles: f64) {
-        let bucket = if cycles <= 1.0 {
-            0usize
-        } else {
-            (cycles.log2().ceil() as usize).min(63)
-        };
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-    }
-
-    /// Counts per bucket, lowest latency first.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total accesses recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The upper cycle bound of the bucket containing the `q`-quantile
-    /// access (`q` in `[0, 1]`), or `None` when empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (k, &count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return Some((1u64 << k) as f64);
-            }
-        }
-        Some((1u64 << (self.buckets.len() - 1)) as f64)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-}
-
 /// Aggregate result of running a trace through a [`crate::engine::MemoryEngine`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
@@ -117,8 +54,6 @@ pub struct RunStats {
     pub dram_streamed_fills: u64,
     /// Processor stall cycles caused by a saturated write buffer.
     pub write_buffer_stall_cycles: f64,
-    /// Per-access latency distribution (includes issue cost).
-    pub latency: LatencyHistogram,
 }
 
 impl RunStats {
@@ -155,7 +90,6 @@ impl RunStats {
         self.dram_bank_conflicts += other.dram_bank_conflicts;
         self.dram_streamed_fills += other.dram_streamed_fills;
         self.write_buffer_stall_cycles += other.write_buffer_stall_cycles;
-        self.latency.merge(&other.latency);
     }
 
     /// Exports the run's counters into `out` for the observability layer.
@@ -207,45 +141,6 @@ mod tests {
     #[test]
     fn cycles_per_access_handles_empty() {
         assert_eq!(RunStats::default().cycles_per_access(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_by_powers_of_two() {
-        let mut h = LatencyHistogram::default();
-        h.record(0.5); // bucket 0
-        h.record(1.0); // bucket 0
-        h.record(2.0); // bucket 1
-        h.record(3.0); // bucket 2 (2 < 3 <= 4)
-        h.record(100.0); // bucket 7 (64 < 100 <= 128)
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.buckets()[0], 2);
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[7], 1);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = LatencyHistogram::default();
-        for _ in 0..90 {
-            h.record(1.0);
-        }
-        for _ in 0..10 {
-            h.record(100.0);
-        }
-        assert_eq!(h.quantile_upper_bound(0.5), Some(1.0));
-        assert_eq!(h.quantile_upper_bound(0.99), Some(128.0));
-        assert_eq!(LatencyHistogram::default().quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn histogram_merge_adds() {
-        let mut a = LatencyHistogram::default();
-        a.record(1.0);
-        let mut b = LatencyHistogram::default();
-        b.record(50.0);
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
     }
 
     #[test]

@@ -61,23 +61,43 @@ impl Default for StreamConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    last_line: u64,
-    run: u32,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Slot {
+    pub(crate) last_line: u64,
+    /// Consecutive lines seen, capped at the train length: only whether it
+    /// has reached the train length matters.
+    pub(crate) run: u32,
     /// LRU stamp for slot replacement.
-    lru: u64,
-    valid: bool,
+    pub(crate) lru: u64,
+    pub(crate) valid: bool,
 }
 
 /// Runtime state of a stream detector.
 #[derive(Debug, Clone)]
 pub struct StreamDetector {
     config: StreamConfig,
-    slots: Vec<Slot>,
-    tick: u64,
-    streamed: u64,
-    unstreamed: u64,
+    pub(crate) slots: Vec<Slot>,
+    pub(crate) tick: u64,
+    pub(crate) streamed: u64,
+    pub(crate) unstreamed: u64,
+    /// Slots (re)allocated to a new stream.
+    pub(crate) allocations: u64,
+    /// While set, [`StreamDetector::observe`] counts into `ambiguous` the
+    /// lines more than one slot would claim (which one wins then depends
+    /// on slot order). An observation, not state: equality ignores both.
+    pub(crate) audit: bool,
+    pub(crate) ambiguous: u64,
+}
+
+impl PartialEq for StreamDetector {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.slots == other.slots
+            && self.tick == other.tick
+            && self.streamed == other.streamed
+            && self.unstreamed == other.unstreamed
+            && self.allocations == other.allocations
+    }
 }
 
 impl StreamDetector {
@@ -103,6 +123,9 @@ impl StreamDetector {
             tick: 0,
             streamed: 0,
             unstreamed: 0,
+            allocations: 0,
+            audit: false,
+            ambiguous: 0,
         })
     }
 
@@ -130,6 +153,7 @@ impl StreamDetector {
         self.tick = 0;
         self.streamed = 0;
         self.unstreamed = 0;
+        self.allocations = 0;
     }
 
     /// Observes a line-granular fill request and classifies it.
@@ -138,12 +162,20 @@ impl StreamDetector {
     /// (and should be charged the pipelined cost).
     pub fn observe(&mut self, line_index: u64) -> bool {
         self.tick += 1;
+        if self.audit {
+            let claims = self
+                .slots
+                .iter()
+                .filter(|s| s.valid && (line_index == s.last_line + 1 || line_index == s.last_line))
+                .count();
+            self.ambiguous += u64::from(claims > 1);
+        }
 
         // Continuation of an existing stream?
         for s in self.slots.iter_mut() {
             if s.valid && line_index == s.last_line + 1 {
                 s.last_line = line_index;
-                s.run = s.run.saturating_add(1);
+                s.run = s.run.saturating_add(1).min(self.config.train_length);
                 s.lru = self.tick;
                 if s.run >= self.config.train_length {
                     self.streamed += 1;
@@ -184,6 +216,7 @@ impl StreamDetector {
             lru: self.tick,
             valid: true,
         };
+        self.allocations += 1;
         self.unstreamed += 1;
         false
     }

@@ -70,7 +70,7 @@ pub struct PushOutcome {
 /// Like [`crate::dram::Dram`], the buffer is driven by a caller-supplied
 /// monotonic *now* timestamp: entries drain continuously at the configured
 /// rate while the processor makes progress.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteBuffer {
     config: WriteBufferConfig,
     /// `log2(entry_bytes)`; the window is a validated power of two, so
@@ -79,7 +79,7 @@ pub struct WriteBuffer {
     /// Window index of the entry currently open for coalescing.
     open_window: Option<u64>,
     /// Number of entries logically occupied (including the open one).
-    occupancy: usize,
+    pub(crate) occupancy: usize,
     /// Simulated time at which the oldest entry finishes draining.
     drain_front: f64,
     entries_drained: u64,

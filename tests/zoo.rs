@@ -9,8 +9,10 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use gasnub::machines::ProbeOp::{LocalLoad, RemoteFetch};
-use gasnub::machines::{Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest};
+use gasnub::machines::ProbeOp::{LocalCopy, LocalLoad, LocalStore, RemoteFetch};
+use gasnub::machines::{Machine, MachineSpec, MeasureLimits, ProbeOp, ProbeRequest, RunContext};
+use gasnub::memsim::trace::{CopyPass, StorePass, StridedPass};
+use gasnub::memsim::{Access, MemoryEngine};
 
 fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
     ProbeRequest::new(op, ws, stride)
@@ -18,6 +20,20 @@ fn req(op: ProbeOp, ws: u64, stride: u64) -> ProbeRequest {
 
 fn repo_file(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
+}
+
+/// Every machine of the zoo, parsed from its spec file.
+fn zoo_specs() -> Vec<MachineSpec> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(repo_file("machines/zoo"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "toml"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| MachineSpec::from_spec_str(&std::fs::read_to_string(p).unwrap()).unwrap())
+        .collect()
 }
 
 /// Runs the gasnub binary with `GASNUB_ZOO` pinned to `zoo` so the test
@@ -267,4 +283,122 @@ fn numa_machine_reproduces_local_remote_asymmetry() {
         "the NUMA node must be far more uniform than the T3D \
          (t3d {t3d_ratio:.1}x vs numa2s {ratio:.1}x)"
     );
+}
+
+/// Both prime caps cover every zoo machine's largest cache, so a capped
+/// prime still fills it.
+#[test]
+fn prime_caps_cover_every_zoo_machines_largest_cache() {
+    for spec in zoo_specs() {
+        let largest = spec
+            .node_config()
+            .hierarchy
+            .levels
+            .iter()
+            .map(|l| l.cache.capacity_bytes)
+            .max()
+            .unwrap_or(0);
+        for limits in [MeasureLimits::new(), MeasureLimits::fast()] {
+            assert!(
+                limits.max_prime_words * 8 >= largest,
+                "{}: a {} B largest cache exceeds the {} word prime cap",
+                spec.label(),
+                largest,
+                limits.max_prime_words
+            );
+        }
+    }
+}
+
+/// The warm prime fast-forwards provably periodic stretches; it must still
+/// be the literal prime bit for bit. For every zoo machine and local op at
+/// the benchmark grid's large cells: the cell's bandwidth matches the
+/// `--cold` oracle (whose prime simulates every access) to the bit, and
+/// the hierarchy and clock a warm prime leaves equal those a literal prime
+/// leaves.
+#[test]
+fn fast_forwarded_prime_is_the_literal_prime_on_every_zoo_machine() {
+    let limits = MeasureLimits::fast();
+    let cells = [
+        (8u64 << 20, 1u64),
+        (8 << 20, 16),
+        (8 << 20, 64),
+        (512 << 10, 1),
+    ];
+    let mut replayed = Vec::new();
+    for spec in zoo_specs() {
+        let mut warm = spec
+            .clone()
+            .with_limits(limits)
+            .with_context(RunContext::unmemoized())
+            .build()
+            .unwrap();
+        let mut cold = spec
+            .clone()
+            .with_limits(limits)
+            .with_context(RunContext::cold())
+            .build()
+            .unwrap();
+        for (ws, stride) in cells {
+            let words = ws / 8;
+            let primed = limits.prime_words(words) as usize;
+            let ops: [(&str, ProbeRequest, Vec<Access>); 4] = [
+                (
+                    "load",
+                    req(LocalLoad, ws, stride),
+                    StridedPass::new(0, words, stride).take(primed).collect(),
+                ),
+                (
+                    "store",
+                    req(LocalStore, ws, stride),
+                    StorePass::new(0, words, stride).take(primed).collect(),
+                ),
+                (
+                    "copy-loads",
+                    req(LocalCopy, ws, stride).with_stride2(1),
+                    CopyPass::new(0, 1 << 32, words, stride, 1)
+                        .take(2 * primed)
+                        .collect(),
+                ),
+                (
+                    "copy-stores",
+                    req(LocalCopy, ws, 1).with_stride2(stride),
+                    CopyPass::new(0, 1 << 32, words, 1, stride)
+                        .take(2 * primed)
+                        .collect(),
+                ),
+            ];
+            for (op, request, prime) in ops {
+                let cell = format!("{} {op} ws={ws} stride={stride}", spec.label());
+                let w = warm.probe(&request).unwrap();
+                let c = cold.probe(&request).unwrap();
+                assert_eq!(w.mb_s.to_bits(), c.mb_s.to_bits(), "{cell}: mb_s");
+
+                let mut fast = MemoryEngine::new(spec.node_config().clone());
+                let mut literal = fast.clone();
+                fast.prime_trace(prime.iter().copied());
+                literal.run_trace(prime.iter().copied());
+                fast.hierarchy_mut().reset_window_stats();
+                literal.hierarchy_mut().reset_window_stats();
+                assert_eq!(
+                    fast.now().to_bits(),
+                    literal.now().to_bits(),
+                    "{cell}: clock"
+                );
+                assert!(
+                    fast.hierarchy() == literal.hierarchy(),
+                    "{cell}: hierarchy state"
+                );
+                replayed.push((cell, fast.replayed_accesses()));
+            }
+        }
+    }
+    // The comparison means something only where the fast-forward served.
+    for served in [
+        "t3d load ws=8388608 stride=1",
+        "t3e copy-loads ws=8388608 stride=16",
+    ] {
+        let (_, n) = replayed.iter().find(|(cell, _)| cell == served).unwrap();
+        assert!(*n > 0, "{served}: nothing was fast-forwarded");
+    }
 }
