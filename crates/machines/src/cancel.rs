@@ -132,6 +132,10 @@ impl<I: Iterator> Iterator for Guarded<I> {
         }
         self.inner.next()
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +220,44 @@ mod tests {
             }
         });
         let mut engine = MemoryEngine::new(presets::tiny_test_node());
+        let guarded = Guarded::new(trace, Some(token.clone()));
+        let err = catch_unwind(AssertUnwindSafe(|| engine.prime_trace(guarded)))
+            .expect_err("a cancelled prime must unwind");
+        assert!(err.downcast_ref::<CellCancelled>().is_some());
+        assert!(drawn.get() <= cancel_at + u64::from(CHECK_INTERVAL));
+    }
+
+    #[test]
+    fn a_passed_through_replay_still_checks_the_token() {
+        use gasnub_memsim::config::presets;
+        use gasnub_memsim::trace::StridedPass;
+        use gasnub_memsim::MemoryEngine;
+        use std::cell::Cell;
+
+        // A 1 MiB direct-mapped last level: only a pass-through proves a
+        // period, and the replay repeats that level's every access. It
+        // fills for the first 128 Ki accesses, so `cancel_at` falls in a
+        // stretch replayed while it fills.
+        let mut node = presets::tiny_test_node();
+        node.hierarchy.levels[1].cache.capacity_bytes = 1 << 20;
+        node.hierarchy.levels[1].cache.associativity = 1;
+        let cancel_at = 100_000;
+        let mut probe = MemoryEngine::new(node.clone());
+        probe.prime_trace(StridedPass::new(0, 1 << 20, 1).take(cancel_at as usize));
+        assert!(
+            probe.replayed_accesses() > 0,
+            "the stretch must be replayed"
+        );
+
+        let token = CancelToken::new();
+        let drawn = Cell::new(0u64);
+        let trace = StridedPass::new(0, 1 << 20, 1).take(1 << 19).inspect(|_| {
+            drawn.set(drawn.get() + 1);
+            if drawn.get() == cancel_at {
+                token.cancel();
+            }
+        });
+        let mut engine = MemoryEngine::new(node);
         let guarded = Guarded::new(trace, Some(token.clone()));
         let err = catch_unwind(AssertUnwindSafe(|| engine.prime_trace(guarded)))
             .expect_err("a cancelled prime must unwind");

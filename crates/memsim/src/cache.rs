@@ -395,6 +395,193 @@ impl Cache {
             allocated: true,
         }
     }
+
+    /// Whether a miss of `addr` would fill an invalid way.
+    pub(crate) fn filling_at(&self, addr: Addr) -> bool {
+        let (set, _) = self.locate(addr);
+        let assoc = self.config.associativity as usize;
+        self.ways
+            .get(set * assoc..(set + 1) * assoc)
+            .is_none_or(|ways| ways.iter().any(|w| !is_valid(w)))
+    }
+
+    /// The counters [`Cache::effect`] reads: tick, hits, write-backs and
+    /// fills into invalid ways.
+    pub(crate) fn access_counters(&self) -> [u64; 4] {
+        [self.tick, self.hits, self.write_backs, self.cold_fills]
+    }
+
+    /// What the last access, of `addr`, did to this level, told from the
+    /// [`Cache::access_counters`] `before` it.
+    pub(crate) fn effect(&self, addr: Addr, before: [u64; 4]) -> Effect {
+        let now = self.access_counters();
+        if now[1] != before[1] {
+            Effect::Hit
+        } else if now[3] != before[3] {
+            Effect::ColdFill
+        } else if now[2] != before[2] {
+            Effect::EvictDirty
+        } else if self.find(addr).is_some() {
+            Effect::EvictClean
+        } else {
+            Effect::NoAllocate
+        }
+    }
+
+    /// Repeats an access of `addr` that had `effect`, exactly as
+    /// [`Cache::access`] would make it: the same tick, counters, way,
+    /// stamp, dirty bit (`dirty`: whether the access dirties the line) and
+    /// touched-set bit. Returns the index of the way it left holding the
+    /// line (none after a miss that allocates nothing); or changes nothing
+    /// and returns `Err` when the access would have another effect: a hit
+    /// finds no line, a miss finds the line, or a fill would take a way of
+    /// another class. Every change is recorded in `undo`.
+    pub(crate) fn replay(
+        &mut self,
+        addr: Addr,
+        effect: Effect,
+        dirty: bool,
+        undo: &mut Undo,
+    ) -> Result<Option<usize>, ()> {
+        let (set, tag) = self.locate(addr);
+        let assoc = self.config.associativity as usize;
+        let ways = self.ways.get(set * assoc..(set + 1) * assoc).ok_or(())?;
+        let way = match (effect, lookup(ways, tag)) {
+            (Effect::Hit, Ok(way)) => {
+                let index = set * assoc + way;
+                self.replay_hit(index, dirty, undo);
+                return Ok(Some(index));
+            }
+            (Effect::NoAllocate, Err(_)) => {
+                self.tick += 1;
+                self.misses += 1;
+                return Ok(None);
+            }
+            (Effect::ColdFill | Effect::EvictClean | Effect::EvictDirty, Err(victim)) => victim,
+            _ => return Err(()),
+        };
+        let class = match (is_valid(&ways[way]), is_dirty(&ways[way])) {
+            (false, _) => Effect::ColdFill,
+            (true, false) => Effect::EvictClean,
+            (true, true) => Effect::EvictDirty,
+        };
+        if class != effect {
+            return Err(());
+        }
+        let index = set * assoc + way;
+        undo.ways.push((index, self.ways[index]));
+        self.tick += 1;
+        self.misses += 1;
+        match effect {
+            Effect::ColdFill => {
+                self.cold_fills += 1;
+                let bit = 1 << (set % 64);
+                if self.touched[set / 64] & bit == 0 {
+                    self.touched[set / 64] |= bit;
+                    undo.touched.push(set);
+                }
+            }
+            Effect::EvictDirty => self.write_backs += 1,
+            _ => {}
+        }
+        let dirty_bit = if dirty { DIRTY } else { 0 };
+        self.ways[index] = [tag, (self.tick << STAMP_SHIFT) | VALID | dirty_bit];
+        Ok(Some(index))
+    }
+
+    /// Repeats a hit on the line way `index` holds, as [`Cache::replay`]
+    /// does, without looking for it.
+    pub(crate) fn replay_hit(&mut self, index: usize, dirty: bool, undo: &mut Undo) {
+        let way = &mut self.ways[index];
+        // Rolling back restores the oldest contents recorded for a way, so
+        // a run of hits on the way just recorded needs no record of its own.
+        if undo.ways.last().is_none_or(|&(i, _)| i != index) {
+            undo.ways.push((index, *way));
+        }
+        self.tick += 1;
+        self.hits += 1;
+        let dirty_bit = if dirty { DIRTY } else { 0 };
+        way[1] = (self.tick << STAMP_SHIFT) | VALID | (way[1] & DIRTY) | dirty_bit;
+    }
+
+    /// Starts recording into `undo` the changes a run of
+    /// [`Cache::replay`] makes.
+    pub(crate) fn begin(&self, undo: &mut Undo) {
+        undo.counters = [
+            self.tick,
+            self.hits,
+            self.misses,
+            self.write_backs,
+            self.cold_fills,
+        ];
+        undo.ways.clear();
+        undo.touched.clear();
+    }
+
+    /// Takes back every change recorded in `undo` since [`Cache::begin`].
+    pub(crate) fn rollback(&mut self, undo: &mut Undo) {
+        for (i, way) in undo.ways.drain(..).rev() {
+            self.ways[i] = way;
+        }
+        for set in undo.touched.drain(..) {
+            self.touched[set / 64] &= !(1 << (set % 64));
+        }
+        [
+            self.tick,
+            self.hits,
+            self.misses,
+            self.write_backs,
+            self.cold_fills,
+        ] = undo.counters;
+    }
+}
+
+/// The way of `ways` that holds `tag`, or else the way a miss fills: the
+/// first invalid way, else the least recently used — the choice
+/// [`Cache::access`] makes. One pass finds either.
+fn lookup(ways: &[Way], tag: u64) -> Result<usize, usize> {
+    let mut invalid = None;
+    let mut lru = 0;
+    let mut oldest = u64::MAX;
+    for (i, w) in ways.iter().enumerate() {
+        if !is_valid(w) {
+            invalid = invalid.or(Some(i));
+        } else if w[0] == tag {
+            return Ok(i);
+        } else if w[1] < oldest {
+            oldest = w[1];
+            lru = i;
+        }
+    }
+    Err(invalid.unwrap_or(lru))
+}
+
+/// What one access did to a level, as far as its cost and the level's
+/// later state depend on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Effect {
+    /// The line was present.
+    Hit = 0,
+    /// A store missed a level that does not allocate on stores.
+    NoAllocate = 1,
+    /// A miss filled an invalid way: the level is still filling.
+    ColdFill = 2,
+    /// A miss evicted a clean line.
+    EvictClean = 3,
+    /// A miss evicted a dirty line (a write-back).
+    EvictDirty = 4,
+}
+
+/// The changes a run of [`Cache::replay`] made, to take them back.
+#[derive(Debug, Default)]
+pub(crate) struct Undo {
+    /// Tick, hits, misses, write-backs and cold fills before the run.
+    counters: [u64; 5],
+    /// Each overwritten way's index and former contents, in order.
+    ways: Vec<(usize, Way)>,
+    /// The sets the run marked touched.
+    touched: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -1,22 +1,67 @@
 //! Times the warm priming pass of every zoo machine's local probes at the
-//! benchmark grid's large cells (512 KiB and 8 MiB working sets, strides
-//! 1, 2, 8, 16 and 64, `MeasureLimits::fast()` caps) and reports, per
-//! machine, the prime's wall time per access and the share of its
-//! accesses the fast-forward replayed instead of simulating.
+//! benchmark grid's large cells (512 KiB, 4 MiB and 8 MiB working sets,
+//! strides 1, 2, 8, 16 and 64, `MeasureLimits::fast()` caps) and reports,
+//! per machine and working set, the prime's wall time per access and the
+//! share of its accesses the fast-forward replayed instead of simulating.
+//! SMP machines get one more row per working set: the producer pass that
+//! `pull` and `fetch` cells run before the consumer reads (a stride-1
+//! store pass).
 //!
 //! ```sh
 //! cargo run --release --example prime_profile -- [REPEATS]
 //! ```
 //!
-//! Each cell is primed `REPEATS` times (default 3) on a fresh engine; the
-//! per-machine time is the sum over cells of each cell's fastest run.
+//! Each trace is primed `REPEATS` times (default 3) on a fresh engine; a
+//! row's time is the sum over its traces of each trace's fastest run.
 
 use std::path::Path;
 use std::time::Instant;
 
 use gasnub::machines::{MachineSpec, MeasureLimits};
 use gasnub::memsim::trace::{CopyPass, StorePass, StridedPass};
-use gasnub::memsim::{Access, MemoryEngine};
+use gasnub::memsim::{Access, MemoryEngine, NodeConfig};
+
+/// Accesses, accesses replayed and seconds, summed over a row's traces.
+#[derive(Default, Clone, Copy)]
+struct Row {
+    accesses: u64,
+    replayed: u64,
+    seconds: f64,
+}
+
+impl Row {
+    /// Primes `trace` `repeats` times on fresh engines for `node`, adding
+    /// its length, its replayed share and its fastest time.
+    fn add(&mut self, node: &NodeConfig, trace: &[Access], repeats: u32) {
+        let mut best = f64::INFINITY;
+        let mut replayed = 0;
+        for _ in 0..repeats {
+            let mut engine = MemoryEngine::new(node.clone());
+            let start = Instant::now();
+            engine.prime_trace(trace.iter().copied());
+            best = best.min(start.elapsed().as_secs_f64());
+            replayed = engine.replayed_accesses();
+        }
+        self.accesses += trace.len() as u64;
+        self.replayed += replayed;
+        self.seconds += best;
+    }
+
+    fn merge(&mut self, other: Row) {
+        self.accesses += other.accesses;
+        self.replayed += other.replayed;
+        self.seconds += other.seconds;
+    }
+
+    fn print(&self, machine: &str, cells: &str) {
+        println!(
+            "{machine:<9} {cells:<17} {:>14} {:>10.2} {:>8.1}%",
+            self.accesses,
+            self.seconds * 1e9 / self.accesses as f64,
+            100.0 * self.replayed as f64 / self.accesses as f64
+        );
+    }
+}
 
 fn main() {
     let repeats: u32 = std::env::args()
@@ -31,14 +76,19 @@ fn main() {
         .filter(|p| p.extension().is_some_and(|e| e == "toml"))
         .collect();
     files.sort();
-    println!("machine   prime_accesses  ns/access  replayed");
+    println!("machine   cells             prime_accesses  ns/access  replayed");
     for file in files {
-        let spec = MachineSpec::from_spec_str(&std::fs::read_to_string(&file).unwrap()).unwrap();
-        let (mut accesses, mut replayed, mut seconds) = (0u64, 0u64, 0f64);
-        for ws in [512u64 << 10, 8 << 20] {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let spec = MachineSpec::from_spec_str(&text).unwrap();
+        let node = spec.node_config();
+        let label = spec.label();
+        let mut total = Row::default();
+        let mut producer = Vec::new();
+        for ws in [512u64 << 10, 4 << 20, 8 << 20] {
+            let words = ws / 8;
+            let primed = limits.prime_words(words) as usize;
+            let mut row = Row::default();
             for stride in [1u64, 2, 8, 16, 64] {
-                let words = ws / 8;
-                let primed = limits.prime_words(words) as usize;
                 let traces: [Vec<Access>; 4] = [
                     StridedPass::new(0, words, stride).take(primed).collect(),
                     StorePass::new(0, words, stride).take(primed).collect(),
@@ -50,25 +100,21 @@ fn main() {
                         .collect(),
                 ];
                 for trace in traces {
-                    let mut best = f64::INFINITY;
-                    for _ in 0..repeats {
-                        let mut engine = MemoryEngine::new(spec.node_config().clone());
-                        let start = Instant::now();
-                        engine.prime_trace(trace.iter().copied());
-                        best = best.min(start.elapsed().as_secs_f64());
-                        replayed += engine.replayed_accesses();
-                    }
-                    accesses += trace.len() as u64 * u64::from(repeats);
-                    seconds += best * f64::from(repeats);
+                    row.add(node, &trace, repeats);
                 }
             }
+            row.print(label, &format!("local {} KiB", ws >> 10));
+            total.merge(row);
+            if spec.model_family() == "smp" {
+                let produce: Vec<Access> = StorePass::new(0, words, 1).take(primed).collect();
+                let mut row = Row::default();
+                row.add(node, &produce, repeats);
+                producer.push((ws, row));
+            }
         }
-        println!(
-            "{:<9} {:>14} {:>10.2} {:>8.1}%",
-            spec.label(),
-            accesses / u64::from(repeats),
-            seconds * 1e9 / accesses as f64,
-            100.0 * replayed as f64 / accesses as f64
-        );
+        total.print(label, "local, all");
+        for (ws, row) in producer {
+            row.print(label, &format!("producer {} KiB", ws >> 10));
+        }
     }
 }
