@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use gasnub::core::counters::{collect_counters, CounterReport};
 use gasnub::core::sweep::Grid;
 use gasnub::core::SweepOp;
+use gasnub::machines::registry::MachineRegistry;
 use gasnub::machines::{MachineSpec, MeasureLimits};
 
 /// The reference grid: one cache-resident and one DRAM-resident working
@@ -101,4 +102,50 @@ fn t3e_fetch_matches_golden() {
 #[test]
 fn t3d_local_load_matches_golden() {
     check_golden("t3d-load", MachineSpec::t3d(), SweepOp::LocalLoad);
+}
+
+/// Resolves a machine by name through the built-in registry (the zoo
+/// machines have no named constructor).
+fn registry_spec(name: &str) -> MachineSpec {
+    MachineRegistry::builtin()
+        .resolve(name)
+        .unwrap_or_else(|e| panic!("{name} must resolve: {e}"))
+        .clone()
+}
+
+/// The T3D's store path: write-through L1 misses landing in the
+/// coalescing write buffer, and the stalls of a full queue.
+#[test]
+fn t3d_local_store_matches_golden() {
+    check_golden("t3d-store", MachineSpec::t3d(), SweepOp::LocalStore);
+}
+
+/// The 8400's copy with strided stores: write-allocate fill chains through
+/// L2 and L3, dirty write-backs below L1 and interleaved load and store
+/// fills from DRAM.
+#[test]
+fn dec8400_copy_stores_matches_golden() {
+    check_golden(
+        "dec8400-copy-stores",
+        MachineSpec::dec8400(),
+        SweepOp::CopyStridedStores,
+    );
+}
+
+/// numa2s's copy with strided loads: three write-back levels, each with a
+/// stream detector, under mixed load and store traffic.
+#[test]
+fn numa2s_copy_loads_matches_golden() {
+    check_golden(
+        "numa2s-copy-loads",
+        registry_spec("numa2s"),
+        SweepOp::CopyStridedLoads,
+    );
+}
+
+/// smp16's stores: a write-through L1 forwarding every store to a 16-way
+/// write-back L2 that allocates, fills and writes back.
+#[test]
+fn smp16_local_store_matches_golden() {
+    check_golden("smp16-store", registry_spec("smp16"), SweepOp::LocalStore);
 }
