@@ -414,7 +414,7 @@ fn main() {
     println!("engine reuse, a probe memo, and batched checkpoint fsyncs \u{2014} against");
     println!("the `--cold` path on the reference `Grid::quick` (25 cells, fast limits),");
     println!("one thread, this host. `--cold` keeps the scheduler and engine reuse but");
-    println!("runs in a cold run context: no memo and full-statistics priming, so every");
+    println!("runs in a cold run context: no memo and literal priming, so every");
     println!("cell simulates. Cells/sec, best-of-N, from `BENCH_9.json`");
     println!("(regenerate with `perf_baseline BENCH_9.json`):");
     println!();
@@ -450,7 +450,7 @@ fn main() {
     println!("Three honest columns, because they answer different questions. *Cold* is");
     println!("the reproducibility anchor \u{2014} what a from-scratch survey costs. *Warm");
     println!("first pass* is the first sweep of a new spec in a process: every cell");
-    println!("still simulates, and the gain over *cold* is the stats-free priming path");
+    println!("still simulates, and the gain over *cold* is the warm priming path");
     println!("(both walk each stride run on one engine).");
     println!("*Warm memoized* is every later pass \u{2014} `faults` and `trace` sessions");
     println!("revisiting grid cells, repeated sweeps in one process \u{2014} where probes");
@@ -517,7 +517,7 @@ fn main() {
     println!("transition zones, the flat T3D trusts its entire grid minus unsupported");
     println!("rungs, and the modern `numa2s`/`smp16` specs sit in between. Fault");
     println!("plans and recorders force simulation categorically. `--cold` does not:");
-    println!("it changes how the simulator runs (no memo, full-statistics priming), not");
+    println!("it changes how the simulator runs (no memo, literal priming), not");
     println!("which tier answers a cell, so `--cold --tier auto` writes the same bytes.");
     println!();
     println!("The payoff (`BENCH_9.json`, probe-level on trusted cells, one thread):");

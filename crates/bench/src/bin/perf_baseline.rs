@@ -6,12 +6,12 @@
 //! cells/sec columns:
 //!
 //! * **cold** — `--cold` semantics: a cold run context (no memo,
-//!   full-statistics priming), so every cell simulates; the engine is
+//!   literal priming), so every cell simulates; the engine is
 //!   still reused across a stride run and the checkpoint still saved
 //!   every 16 cells, as in a `--cold` sweep.
 //! * **warm first pass** — the default sweep path in a fresh context (an
 //!   empty memo): run-granular scheduling, engine reuse across a stride
-//!   run, stats-free priming. Every cell still simulates; this is the
+//!   run, fast-forwarded priming. Every cell still simulates; this is the
 //!   honest "first sweep of a new spec" speed.
 //! * **warm memoized** — steady state: every cell hits the context's
 //!   probe memo, as in repeated `faults`/`trace`/`sweep` invocations.

@@ -209,9 +209,8 @@ impl SnoopingSmp {
     /// The pass only prepares state for a following
     /// [`SnoopingSmp::consumer_pull`], so it streams through
     /// [`MemoryEngine::prime`], recording each line's directory write as
-    /// the store reaches it: stats-free, or with `full_stats` through the
-    /// full-statistics path (the `--cold` path). Both leave identical
-    /// state.
+    /// the store reaches it: fast-forwarded, or with `literal` access by
+    /// access (the `--cold` path). Both leave identical state.
     ///
     /// # Panics
     ///
@@ -220,7 +219,7 @@ impl SnoopingSmp {
         &mut self,
         node: usize,
         trace: impl IntoIterator<Item = Access>,
-        full_stats: bool,
+        literal: bool,
     ) {
         let directory = &mut self.directory;
         let line_bytes = directory.line_bytes();
@@ -233,7 +232,7 @@ impl SnoopingSmp {
                 last_line = line;
             }
         });
-        self.engines[node].prime(trace, full_stats);
+        self.engines[node].prime(trace, literal);
     }
 
     /// Is the line containing `addr` still dirty in `node`'s caches?
@@ -313,7 +312,7 @@ impl SnoopingSmp {
             let cost =
                 self.engines[consumer]
                     .hierarchy_mut()
-                    .load_remote(addr, now, &mut remote_fill);
+                    .load_supplied(addr, now, &mut remote_fill);
             now += issue + cost.cycles;
             if fetched_remotely {
                 if owner_dirty {
@@ -336,8 +335,6 @@ impl SnoopingSmp {
         stats.dram_accesses = cache_supplies + home_supplies;
         stats.dram_row_hits = 0;
         stats.dram_streamed_fills = cache_supplies;
-        // Advance the consumer's private clock past this run.
-        self.engines[consumer].hierarchy_mut().reset_window_stats();
         stats
     }
 
@@ -512,25 +509,25 @@ mod tests {
         );
     }
 
-    /// The producer pass primes stats-free by default and through the
-    /// full-statistics path under a cold context; both must leave the same
-    /// directory and the same state for the pull that follows.
+    /// The producer pass primes with the fast-forward by default and
+    /// literally under a cold context; both must leave the same directory
+    /// and the same state for the pull that follows.
     #[test]
     fn producer_pass_is_identical_on_both_priming_paths() {
         let words = 32 * 1024 / 8;
-        let run = |full_stats: bool| {
+        let run = |literal: bool| {
             let mut sys = smp();
-            sys.producer_store(1, StorePass::new(0, words, 1), full_stats);
+            sys.producer_store(1, StorePass::new(0, words, 1), literal);
             let _ = sys.consumer_pull(0, StridedPass::new(0, words, 1));
             // Producing again invalidates the consumer's copies.
-            sys.producer_store(1, StorePass::new(0, words, 1), full_stats);
+            sys.producer_store(1, StorePass::new(0, words, 1), literal);
             let pull = sys.consumer_pull(0, StridedPass::new(0, words, 3));
             let directory = sys.directory();
             (*directory.tally(), directory.invalidations(), pull)
         };
-        let stats_free = run(false);
-        assert!(stats_free.1 > 0, "the second pass must invalidate copies");
-        assert_eq!(stats_free, run(true));
+        let warm = run(false);
+        assert!(warm.1 > 0, "the second pass must invalidate copies");
+        assert_eq!(warm, run(true));
     }
 
     #[test]

@@ -54,8 +54,8 @@ struct Transfer {
     ws_bytes: u64,
     stride: u64,
     cancel: Option<CancelToken>,
-    /// Whether priming takes the full-statistics path.
-    full_stats: bool,
+    /// Whether priming simulates every access (no fast-forward).
+    literal: bool,
 }
 
 /// Mutable state of the T3D remote path (fetch/deposit circuitry).
@@ -122,7 +122,7 @@ impl T3dRemotePath {
         // Prime the source region so cache effects along the working-set
         // axis match the paper's methodology.
         let prime = StridedPass::new(0, words, 1).take(limits.prime_words(words) as usize);
-        engine.prime(prime, t.full_stats);
+        engine.prime(prime, t.literal);
         // Scope the hierarchy's statistics window to the measured pass (the
         // window is observational only; costs are unaffected).
         engine.hierarchy_mut().reset_window_stats();
@@ -523,7 +523,7 @@ impl TransferEngine {
     /// The local kernels: a primed pass, then a measured pass over the
     /// measuring processor's hierarchy. Copies count their payload once
     /// (they issue a load and a store per word).
-    fn sim_local(&mut self, req: &ProbeRequest, full_stats: bool) -> Run {
+    fn sim_local(&mut self, req: &ProbeRequest, literal: bool) -> Run {
         let (limits, clock) = (self.limits, self.clock_mhz);
         let (words, stride) = (words_of(req.ws_bytes), req.stride);
         let measured = limits.measure_words(words);
@@ -531,20 +531,20 @@ impl TransferEngine {
         let stats = match req.op {
             ProbeOp::LocalStore => {
                 let pass = StorePass::new(0, words, stride);
-                self.prime_and_measure(pass.clone().take(primed), pass.take(m), full_stats)
+                self.prime_and_measure(pass.clone().take(primed), pass.take(m), literal)
             }
             ProbeOp::LocalCopy => {
                 let pass = CopyPass::new(0, DST_REGION, words, stride, req.stride2);
-                self.prime_and_measure(pass.clone().take(2 * primed), pass.take(2 * m), full_stats)
+                self.prime_and_measure(pass.clone().take(2 * primed), pass.take(2 * m), literal)
             }
             ProbeOp::LocalGather => {
                 let prime = StridedPass::new(0, words, 1).take(primed);
                 let indices = shuffled_indices(words, m, self.gather_seed);
-                self.prime_and_measure(prime, IndexedPass::new(0, indices), full_stats)
+                self.prime_and_measure(prime, IndexedPass::new(0, indices), literal)
             }
             _ => {
                 let pass = StridedPass::new(0, words, stride);
-                self.prime_and_measure(pass.clone().take(primed), pass.take(m), full_stats)
+                self.prime_and_measure(pass.clone().take(primed), pass.take(m), literal)
             }
         };
         let bytes = match req.op {
@@ -561,14 +561,14 @@ impl TransferEngine {
         &mut self,
         prime: impl Iterator<Item = Access>,
         measure: impl Iterator<Item = Access>,
-        full_stats: bool,
+        literal: bool,
     ) -> RunStats {
         let prime = Guarded::new(prime, self.cancel.clone());
         let measure = Guarded::new(measure, self.cancel.clone());
-        self.mem().prime_and_measure(prime, measure, full_stats)
+        self.mem().prime_and_measure(prime, measure, literal)
     }
 
-    fn sim_remote(&mut self, req: &ProbeRequest, full_stats: bool) -> Option<Run> {
+    fn sim_remote(&mut self, req: &ProbeRequest, literal: bool) -> Option<Run> {
         let t = Transfer {
             op: req.op,
             limits: self.limits,
@@ -576,7 +576,7 @@ impl TransferEngine {
             ws_bytes: req.ws_bytes,
             stride: req.stride,
             cancel: self.cancel.clone(),
-            full_stats,
+            literal,
         };
         match &mut self.backend {
             // "The DEC 8400 does not have support for pushing data into
@@ -587,7 +587,7 @@ impl TransferEngine {
                 // Producer (P1) writes the data; consumer (P0) pulls after a
                 // synchronization point (§5.2).
                 let produce = StorePass::new(0, words, 1).take(limits.prime_words(words) as usize);
-                smp.producer_store(1, Guarded::new(produce, t.cancel.clone()), t.full_stats);
+                smp.producer_store(1, Guarded::new(produce, t.cancel.clone()), t.literal);
                 let measured = limits.measure_words(words);
                 let (bytes, stats) = if t.op == ProbeOp::RemoteLoad {
                     let pull = StridedPass::new(0, words, t.stride).take(measured as usize);
@@ -651,18 +651,18 @@ impl Machine for TransferEngine {
         // The one place a probe's shortcuts are decided: only an unobserved
         // probe (no enabled recorder, whose counters must be real) in a
         // context with a memo may skip simulation, and only a cold context
-        // primes through the full-statistics path.
+        // primes literally, with no fast-forward.
         let memoized = self.ctx.memo().is_some() && !self.recorder.enabled();
         let key = memoized.then_some((self.spec_hash, req, self.limits));
-        let full_stats = self.ctx.cold;
+        let literal = self.ctx.cold;
         if let Some(cached) = key.and_then(|k| self.ctx.memo()?.lookup(&k)) {
             return cached;
         }
         self.flush_all();
         let run = if req.op.is_remote() {
-            self.sim_remote(&req, full_stats)
+            self.sim_remote(&req, literal)
         } else {
-            Some(self.sim_local(&req, full_stats))
+            Some(self.sim_local(&req, literal))
         };
         let result = run.map(|(m, stats)| {
             self.observe(&req, &m, stats.as_ref());

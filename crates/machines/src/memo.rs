@@ -132,7 +132,7 @@ pub fn len() -> usize {
 }
 
 /// What the engines of one run share: the memo they may consult (or none)
-/// and whether priming takes the full-statistics path. The run's owner
+/// and whether priming is literal, with no fast-forward. The run's owner
 /// creates it and hands it to [`crate::MachineSpec::with_context`].
 #[derive(Debug, Clone)]
 pub struct RunContext {
@@ -141,7 +141,7 @@ pub struct RunContext {
 }
 
 impl Default for RunContext {
-    /// The process context: the process memo, stats-free priming.
+    /// The process context: the process memo, fast-forwarded priming.
     fn default() -> Self {
         Self::with(Some(Arc::clone(process_memo())), false)
     }
@@ -170,7 +170,7 @@ impl RunContext {
         Self::with(None, false)
     }
 
-    /// `--cold`: no memo, and every prime through the full-statistics path.
+    /// `--cold`: no memo, and every prime literal, with no fast-forward.
     pub fn cold() -> Self {
         Self::with(None, true)
     }

@@ -182,6 +182,8 @@ pub struct Cache {
     pub(crate) hits: u64,
     pub(crate) misses: u64,
     pub(crate) write_backs: u64,
+    /// Misses that allocated a line.
+    pub(crate) fills: u64,
     /// Fills into an invalid way: non-zero growth means the cache is still
     /// filling.
     pub(crate) cold_fills: u64,
@@ -208,6 +210,7 @@ impl Cache {
             hits: 0,
             misses: 0,
             write_backs: 0,
+            fills: 0,
             cold_fills: 0,
         })
     }
@@ -247,11 +250,12 @@ impl Cache {
         self.write_backs
     }
 
-    /// Clears hit/miss/write-back counters (tag state is preserved).
+    /// Clears hit/miss/write-back/fill counters (tag state is preserved).
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
         self.write_backs = 0;
+        self.fills = 0;
         self.cold_fills = 0;
     }
 
@@ -366,6 +370,7 @@ impl Cache {
             };
         }
 
+        self.fills += 1;
         // Choose victim: first invalid way, else LRU. A set's first fill
         // since the store was built or flushed always finds an invalid
         // way, so that is where the set is marked touched. Valid ways of a
@@ -472,6 +477,7 @@ impl Cache {
         undo.ways.push((index, self.ways[index]));
         self.tick += 1;
         self.misses += 1;
+        self.fills += 1;
         match effect {
             Effect::ColdFill => {
                 self.cold_fills += 1;
@@ -512,6 +518,7 @@ impl Cache {
             self.hits,
             self.misses,
             self.write_backs,
+            self.fills,
             self.cold_fills,
         ];
         undo.ways.clear();
@@ -531,6 +538,7 @@ impl Cache {
             self.hits,
             self.misses,
             self.write_backs,
+            self.fills,
             self.cold_fills,
         ] = undo.counters;
     }
@@ -576,8 +584,9 @@ pub(crate) enum Effect {
 /// The changes a run of [`Cache::replay`] made, to take them back.
 #[derive(Debug, Default)]
 pub(crate) struct Undo {
-    /// Tick, hits, misses, write-backs and cold fills before the run.
-    counters: [u64; 5],
+    /// Tick, hits, misses, write-backs, fills and cold fills before the
+    /// run.
+    counters: [u64; 6],
     /// Each overwritten way's index and former contents, in order.
     ways: Vec<(usize, Way)>,
     /// The sets the run marked touched.

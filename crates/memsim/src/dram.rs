@@ -189,17 +189,18 @@ impl Dram {
         &self.config
     }
 
-    /// Row-buffer hits observed.
+    /// Row-buffer hits of charged accesses (every [`Dram::access`]; a
+    /// stream prefetch occupies its bank uncounted).
     pub fn row_hits(&self) -> u64 {
         self.row_hits
     }
 
-    /// Row-buffer misses observed.
+    /// Row-buffer misses of charged accesses.
     pub fn row_misses(&self) -> u64 {
         self.row_misses
     }
 
-    /// Number of accesses that stalled on a busy bank.
+    /// Number of charged accesses that stalled on a busy bank.
     pub fn bank_conflicts(&self) -> u64 {
         self.bank_conflicts
     }
@@ -222,7 +223,8 @@ impl Dram {
     }
 
     /// [`Dram::access`], telling whether the caller charges the returned
-    /// cost (a stream prefetch's bank occupancy is not charged).
+    /// cost (a stream prefetch's bank occupancy is not charged, and not
+    /// counted in the row and conflict statistics).
     #[inline]
     pub(crate) fn access_as(&mut self, addr: Addr, now: f64, charged: bool) -> DramOutcome {
         // Shift/mask forms of [`DramConfig::bank_of`] / [`DramConfig::row_of`]
@@ -237,17 +239,17 @@ impl Dram {
         bank.epoch = self.epoch;
 
         let stall = (bank.busy_until - now).max(0.0);
-        if stall > 0.0 {
-            self.bank_conflicts += 1;
-        }
         let start = now + stall;
 
         let row_hit = bank.open_row == Some(row);
+        if charged {
+            self.bank_conflicts += u64::from(stall > 0.0);
+            self.row_hits += u64::from(row_hit);
+            self.row_misses += u64::from(!row_hit);
+        }
         let service = if row_hit {
-            self.row_hits += 1;
             self.config.row_hit_cycles
         } else {
-            self.row_misses += 1;
             self.config.row_hit_cycles + self.config.row_miss_extra_cycles
         };
         bank.open_row = Some(row);

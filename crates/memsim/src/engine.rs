@@ -79,7 +79,7 @@ impl MemoryEngine {
         self.replayed = 0;
     }
 
-    /// Priming accesses that [`MemoryEngine::prime_trace`] fast-forwarded
+    /// Priming accesses that [`MemoryEngine::prime`] fast-forwarded
     /// instead of simulating, since construction or the last
     /// [`Self::flush`].
     pub fn replayed_accesses(&self) -> u64 {
@@ -99,15 +99,7 @@ impl MemoryEngine {
         let mut stats = RunStats::default();
         let start = self.now;
         for access in trace {
-            let issue = match access.kind {
-                AccessKind::Read => self.cpu.load_issue_cycles,
-                AccessKind::Write => self.cpu.store_issue_cycles,
-            } + self.cpu.loop_overhead_cycles;
-            let cost = match access.kind {
-                AccessKind::Read => self.hierarchy.load(access.addr, self.now),
-                AccessKind::Write => self.hierarchy.store(access.addr, self.now),
-            };
-            self.now += issue + cost.cycles;
+            self.step(access);
             stats.accesses += 1;
             match access.kind {
                 AccessKind::Read => stats.reads += 1,
@@ -126,52 +118,49 @@ impl MemoryEngine {
     /// Runs every access of `trace` for its *state effects only*: tags, LRU
     /// stamps, stream detectors, DRAM row/bank state, write-buffer occupancy
     /// and the simulated clock end exactly as after
-    /// [`MemoryEngine::run_trace`], but no [`RunStats`] is assembled and the
-    /// window counters the measured pass would discard anyway are skipped.
+    /// [`MemoryEngine::run_trace`], but no [`RunStats`] is assembled.
     ///
-    /// A stretch of the pass that is provably periodic is fast-forwarded
-    /// instead of simulated (DESIGN.md §5e); every access is still
-    /// drawn from `trace`, and the result is bit-identical.
-    pub fn prime_trace<I>(&mut self, trace: I)
+    /// Unless `literal` (the `--cold` path) simulates every access, a
+    /// stretch of the pass that is provably periodic is fast-forwarded
+    /// instead (DESIGN.md §5e); every access is still drawn from `trace`,
+    /// and the result is bit-identical.
+    pub fn prime<I>(&mut self, trace: I, literal: bool)
     where
         I: IntoIterator<Item = Access>,
     {
-        self.hierarchy.reset_window_stats();
-        crate::period::prime(self, trace.into_iter());
+        if literal {
+            for access in trace {
+                self.step(access);
+            }
+        } else {
+            crate::period::prime(self, trace.into_iter());
+        }
         let drain = self.hierarchy.drain_writes(self.now);
         self.now += drain;
     }
 
-    /// Simulates one priming access, returning the cycles it added to the
-    /// clock.
+    /// [`MemoryEngine::prime`] with the fast-forward.
+    pub fn prime_trace<I>(&mut self, trace: I)
+    where
+        I: IntoIterator<Item = Access>,
+    {
+        self.prime(trace, false);
+    }
+
+    /// Simulates one access, returning the cycles it added to the clock.
     #[inline(always)]
-    pub(crate) fn prime_step(&mut self, access: Access) -> f64 {
+    pub(crate) fn step(&mut self, access: Access) -> f64 {
         let issue = match access.kind {
             AccessKind::Read => self.cpu.load_issue_cycles,
             AccessKind::Write => self.cpu.store_issue_cycles,
         } + self.cpu.loop_overhead_cycles;
         let cost = match access.kind {
-            AccessKind::Read => self.hierarchy.prime_load(access.addr, self.now),
-            AccessKind::Write => self.hierarchy.prime_store(access.addr, self.now),
+            AccessKind::Read => self.hierarchy.load(access.addr, self.now),
+            AccessKind::Write => self.hierarchy.store(access.addr, self.now),
         };
         let cycles = issue + cost.cycles;
         self.now += cycles;
         cycles
-    }
-
-    /// Primes the hierarchy with one pass of `trace`: stats-free through
-    /// [`MemoryEngine::prime_trace`], or with `full_stats` through
-    /// [`MemoryEngine::run_trace`] (the `--cold` path). Both evolve identical
-    /// state and clocks, so the choice never changes a result.
-    pub fn prime<I>(&mut self, trace: I, full_stats: bool)
-    where
-        I: IntoIterator<Item = Access>,
-    {
-        if full_stats {
-            let _ = self.run_trace(trace);
-        } else {
-            self.prime_trace(trace);
-        }
     }
 
     /// Primes the hierarchy with one full pass of `prime` (see
@@ -179,12 +168,12 @@ impl MemoryEngine {
     /// the paper's methodology: "our micro-benchmarks access all locations
     /// of the working set exactly once, but start with a primed cache for
     /// exactly that working set."
-    pub fn prime_and_measure<P, M>(&mut self, prime: P, measure: M, full_stats: bool) -> RunStats
+    pub fn prime_and_measure<P, M>(&mut self, prime: P, measure: M, literal: bool) -> RunStats
     where
         P: IntoIterator<Item = Access>,
         M: IntoIterator<Item = Access>,
     {
-        self.prime(prime, full_stats);
+        self.prime(prime, literal);
         self.run_trace(measure)
     }
 
@@ -209,17 +198,13 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let run = |full_stats| {
+        let run = |literal| {
             let mut e = MemoryEngine::new(presets::tiny_test_node());
             let pass = StridedPass::new(0, 4096, 3);
-            e.prime_and_measure(pass.clone(), pass, full_stats).cycles
+            e.prime_and_measure(pass.clone(), pass, literal).cycles
         };
         assert_eq!(run(false), run(false));
-        assert_eq!(
-            run(true),
-            run(false),
-            "full-statistics priming is state-identical"
-        );
+        assert_eq!(run(true), run(false), "a literal prime is state-identical");
     }
 
     #[test]

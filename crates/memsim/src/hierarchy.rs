@@ -14,13 +14,18 @@
 //! cost (`streamed_fill_cycles`). A miss in the last cache level goes to
 //! DRAM: trained streams are charged the prefetch-pipeline rate, untrained
 //! accesses pay the banked open-row model divided by the CPU's miss-overlap
-//! factor. Dirty victims charge their write-back cost.
+//! factor. Dirty victims charge their write-back cost. A coherent pull
+//! supplies the last-level miss itself instead of DRAM
+//! ([`MemoryHierarchy::load_supplied`]).
 //!
 //! For a **store**, write-through levels forward the store downward (the
 //! Alpha L1s); a write-back level absorbs it, charging a read-modify-write
-//! fill on a store miss. A store that falls through every cache level lands
-//! in the write buffer when one is configured (T3D), otherwise directly in
-//! DRAM.
+//! fill on a store miss: the load's miss-and-fill chain below that level.
+//! A store that falls through every cache level lands in the write buffer
+//! when one is configured (T3D), otherwise directly in DRAM.
+//!
+//! The hierarchy keeps no counters of its own: a window's [`RunStats`] are
+//! what the caches, detectors, DRAM and write buffer counted in it.
 
 use crate::access::{AccessKind, Addr};
 use crate::cache::{Cache, CacheConfig, LookupOutcome, WritePolicy};
@@ -173,13 +178,9 @@ pub struct MemoryHierarchy {
     /// granularity) — a validated power of two, so `addr >> last_line_shift`
     /// is exactly `addr / last_level_line_bytes()`.
     pub(crate) last_line_shift: u32,
-    /// Scratch per-level stats for the current measurement window.
-    level_stats: Vec<LevelStats>,
-    dram_accesses: u64,
-    dram_row_hits: u64,
-    dram_bank_conflicts: u64,
-    dram_streamed_fills: u64,
-    wb_stalls: f64,
+    /// The components' counts when the measurement window began (see
+    /// [`MemoryHierarchy::reset_window_stats`]).
+    window_start: RunStats,
     /// Outstanding write-buffer drain work (cycles) that the next DRAM fill
     /// must wait behind: reads and write drains share one DRAM pipe. Capped
     /// at the queue's total capacity — older entries have already drained.
@@ -201,6 +202,14 @@ const MIXED_TRAFFIC_WINDOW: u32 = 16;
 pub(crate) enum FillOrigin {
     Load,
     Store,
+}
+
+/// Who supplies a line that misses every cache level.
+enum Supplier<'a> {
+    /// Local DRAM, for a fill of the given origin.
+    Dram(FillOrigin),
+    /// The caller, called with the simulated time the fill starts.
+    Remote(&'a mut dyn FnMut(f64) -> f64),
 }
 
 impl MemoryHierarchy {
@@ -241,8 +250,7 @@ impl MemoryHierarchy {
             .clone()
             .map(WriteBuffer::new)
             .transpose()?;
-        let n = config.levels.len();
-        Ok(MemoryHierarchy {
+        let mut h = MemoryHierarchy {
             last_line_shift: config.last_level_line_bytes().trailing_zeros(),
             config,
             caches,
@@ -251,16 +259,13 @@ impl MemoryHierarchy {
             dram,
             write_buffer,
             miss_overlap,
-            level_stats: vec![LevelStats::default(); n],
-            dram_accesses: 0,
-            dram_row_hits: 0,
-            dram_bank_conflicts: 0,
-            dram_streamed_fills: 0,
-            wb_stalls: 0.0,
+            window_start: RunStats::default(),
             write_debt: 0.0,
             last_fill_origin: None,
             mixed_countdown: 0,
-        })
+        };
+        h.reset_window_stats();
+        Ok(h)
     }
 
     /// The configuration this hierarchy was built from.
@@ -310,47 +315,83 @@ impl MemoryHierarchy {
         self.reset_window_stats();
     }
 
-    /// Clears the per-window statistics without touching tag/row state.
+    /// Starts a new statistics window without touching tag/row state.
     /// Used between the priming pass and the measured pass.
     pub fn reset_window_stats(&mut self) {
-        for s in &mut self.level_stats {
-            *s = LevelStats::default();
+        // A sum of stalls is not recovered exactly by subtracting two
+        // totals, so the write buffer's restarts instead.
+        if let Some(w) = &mut self.write_buffer {
+            w.stall_total = 0.0;
         }
-        self.dram_accesses = 0;
-        self.dram_row_hits = 0;
-        self.dram_bank_conflicts = 0;
-        self.dram_streamed_fills = 0;
-        self.wb_stalls = 0.0;
+        self.window_start = self.totals();
     }
 
-    /// Copies the current window statistics into `stats`.
+    /// Copies the statistics of the current window into `stats`: what the
+    /// components counted since it began.
     pub fn export_stats(&self, stats: &mut RunStats) {
-        stats.levels = self.level_stats.clone();
-        stats.dram_accesses = self.dram_accesses;
-        stats.dram_row_hits = self.dram_row_hits;
-        stats.dram_bank_conflicts = self.dram_bank_conflicts;
-        stats.dram_streamed_fills = self.dram_streamed_fills;
-        stats.write_buffer_stall_cycles = self.wb_stalls;
+        let (now, start) = (self.totals(), &self.window_start);
+        stats.levels = now
+            .levels
+            .iter()
+            .zip(&start.levels)
+            .map(|(n, s)| LevelStats {
+                hits: n.hits - s.hits,
+                misses: n.misses - s.misses,
+                streamed_fills: n.streamed_fills - s.streamed_fills,
+                unstreamed_fills: n.unstreamed_fills - s.unstreamed_fills,
+                write_backs: n.write_backs - s.write_backs,
+            })
+            .collect();
+        stats.dram_accesses = now.dram_accesses - start.dram_accesses;
+        stats.dram_row_hits = now.dram_row_hits - start.dram_row_hits;
+        stats.dram_bank_conflicts = now.dram_bank_conflicts - start.dram_bank_conflicts;
+        stats.dram_streamed_fills = now.dram_streamed_fills - start.dram_streamed_fills;
+        stats.write_buffer_stall_cycles = now.write_buffer_stall_cycles;
+    }
+
+    /// The components' counts since construction or the last flush, as
+    /// window statistics (the write buffer's stalls since the window
+    /// began).
+    fn totals(&self) -> RunStats {
+        let n = self.caches.len();
+        let levels = self
+            .caches
+            .iter()
+            .zip(&self.streams)
+            .enumerate()
+            .map(|(i, (c, stream))| {
+                // A level fills from the one below, each fill classified
+                // by the boundary's detector if it has one; the last
+                // level's fills are DRAM's (or a remote supplier's).
+                let (streamed_fills, unstreamed_fills) = match stream {
+                    _ if i + 1 == n => (0, 0),
+                    Some(d) => (d.streamed, d.unstreamed),
+                    None => (0, c.fills),
+                };
+                LevelStats {
+                    hits: c.hits,
+                    misses: c.misses,
+                    streamed_fills,
+                    unstreamed_fills,
+                    write_backs: c.write_backs,
+                }
+            })
+            .collect();
+        RunStats {
+            levels,
+            dram_accesses: self.dram.banks.iter().map(|b| b.accesses).sum(),
+            dram_row_hits: self.dram.row_hits,
+            dram_bank_conflicts: self.dram.bank_conflicts,
+            dram_streamed_fills: self.dram_stream.as_ref().map_or(0, |d| d.streamed),
+            write_buffer_stall_cycles: self.write_buffer.as_ref().map_or(0.0, |w| w.stall_total),
+            ..RunStats::default()
+        }
     }
 
     /// Cost of fetching one last-level line from DRAM at simulated time
     /// `now`, applying stream detection, overlap and contention.
-    ///
-    /// With `STATS == false` the window statistics (`dram_accesses`,
-    /// `dram_row_hits`, ...) are left untouched; every state mutation and
-    /// every floating-point operation is identical. The priming pass uses
-    /// this: its window counters are discarded by the measured pass's
-    /// [`MemoryHierarchy::reset_window_stats`] anyway.
     #[inline]
-    fn dram_fill_cost_inner<const STATS: bool>(
-        &mut self,
-        addr: Addr,
-        now: f64,
-        origin: FillOrigin,
-    ) -> f64 {
-        if STATS {
-            self.dram_accesses += 1;
-        }
+    fn dram_fill_cost(&mut self, addr: Addr, now: f64, origin: FillOrigin) -> f64 {
         // Pay for any write-buffer drains queued ahead of this read: DRAM
         // serves one stream at a time (this is what keeps the T3D's copy
         // bandwidth at ~100 MB/s although reads alone sustain ~195 MB/s).
@@ -378,232 +419,125 @@ impl MemoryHierarchy {
             .map(|s| s.observe(line))
             .unwrap_or(false);
         debt + if streamed {
-            if STATS {
-                self.dram_streamed_fills += 1;
-            }
             // The prefetch pipeline still occupies the bank, so row/bank
             // state advances, but the processor sees the pipelined rate.
             let _ = self.dram.access_as(addr, now, false);
-            self.dram_streamed_line_cycles() * self.config.dram_stream_contention
+            self.config.dram_streamed_line_cycles * self.config.dram_stream_contention
         } else {
-            let out = self.dram.access(addr, now);
-            if STATS {
-                if out.row_hit {
-                    self.dram_row_hits += 1;
-                }
-                if out.bank_stall_cycles > 0.0 {
-                    self.dram_bank_conflicts += 1;
-                }
-            }
-            out.cycles / overlap * self.config.dram_contention
+            self.dram.access(addr, now).cycles / overlap * self.config.dram_contention
         }
     }
 
-    fn dram_streamed_line_cycles(&self) -> f64 {
-        self.config.dram_streamed_line_cycles
-    }
-
-    /// The load walk, monomorphized over whether window statistics are
-    /// recorded. `STATS == false` performs exactly the same state mutations
-    /// and floating-point operations, skipping only the `level_stats` /
-    /// `dram_*` window counters (which the measured pass resets anyway).
+    /// The miss-and-fill chain: looks the line containing `addr` up in
+    /// levels `first..` until one holds it, then fills every level from
+    /// `top` down to the last that missed, the lowest first. `first` is
+    /// `top`, or `top + 1` when the caller has already missed in `top`. A
+    /// line no level holds comes from `supplier`: into the last level, or
+    /// on a cacheless node as the access itself.
     #[inline]
-    fn load_inner<const STATS: bool>(&mut self, addr: Addr, now: f64) -> AccessCost {
-        let mut cycles = 0.0;
+    fn fetch(
+        &mut self,
+        top: usize,
+        first: usize,
+        addr: Addr,
+        now: f64,
+        supplier: Supplier<'_>,
+    ) -> AccessCost {
         let n = self.caches.len();
-        let mut supplier: Option<usize> = None; // level that hit
-        let mut missed_through = 0usize;
-
-        for i in 0..n {
-            let outcome = self.caches[i].access(addr, AccessKind::Read);
-            match outcome {
+        let mut cycles = 0.0;
+        let mut hit = None;
+        let mut missed_through = first;
+        for i in first..n {
+            match self.caches[i].access(addr, AccessKind::Read) {
                 LookupOutcome::Hit => {
-                    if STATS {
-                        self.level_stats[i].hits += 1;
-                    }
-                    supplier = Some(i);
+                    hit = Some(i);
                     break;
                 }
                 LookupOutcome::Miss { victim_dirty, .. } => {
-                    if STATS {
-                        self.level_stats[i].misses += 1;
-                    }
                     if victim_dirty {
-                        if STATS {
-                            self.level_stats[i].write_backs += 1;
-                        }
                         cycles += self.config.levels[i].write_back_cycles;
                     }
                     missed_through = i + 1;
                 }
             }
         }
-
-        // Charge fills for every level that missed. The fill of level i is
-        // delivered by level i+1 (or DRAM for the last level).
-        for i in (0..missed_through).rev() {
-            let level_cfg = &self.config.levels[i];
-            let line = self.caches[i].line_of(addr);
-            let fills_from_dram = i + 1 == n && supplier.is_none();
-            if fills_from_dram {
-                cycles += self.dram_fill_cost_inner::<STATS>(addr, now + cycles, FillOrigin::Load);
-            } else {
-                let streamed = match &mut self.streams[i] {
-                    Some(det) => det.observe(line),
-                    None => false,
-                };
-                if streamed {
-                    if STATS {
-                        self.level_stats[i].streamed_fills += 1;
-                    }
-                    cycles += level_cfg.streamed_fill_cycles;
-                } else {
-                    if STATS {
-                        self.level_stats[i].unstreamed_fills += 1;
-                    }
-                    cycles += level_cfg.fill_cycles;
-                }
-            }
+        if hit.is_none() {
+            // The supplier fills the last level first (on a cacheless node
+            // it serves the access itself).
+            cycles += match supplier {
+                Supplier::Dram(origin) => self.dram_fill_cost(addr, now + cycles, origin),
+                Supplier::Remote(fill) => fill(now + cycles),
+            };
+            missed_through = n.saturating_sub(1);
         }
-
-        let served_by = match supplier {
-            Some(i) => ServedBy::Level(i),
-            None => {
-                if n == 0 {
-                    // Cacheless node: the load itself is a DRAM word access.
-                    cycles += self.dram_fill_cost_inner::<STATS>(addr, now, FillOrigin::Load);
-                }
-                ServedBy::Dram
-            }
-        };
-        AccessCost { cycles, served_by }
+        // Each other level that missed fills from the one below.
+        for i in (top..missed_through).rev() {
+            let level_cfg = &self.config.levels[i];
+            let streamed = match &mut self.streams[i] {
+                Some(det) => det.observe(self.caches[i].line_of(addr)),
+                None => false,
+            };
+            cycles += if streamed {
+                level_cfg.streamed_fill_cycles
+            } else {
+                level_cfg.fill_cycles
+            };
+        }
+        AccessCost {
+            cycles,
+            served_by: hit.map_or(ServedBy::Dram, ServedBy::Level),
+        }
     }
 
     /// Charges one load at simulated time `now`.
     pub fn load(&mut self, addr: Addr, now: f64) -> AccessCost {
-        self.load_inner::<true>(addr, now)
-    }
-
-    /// [`MemoryHierarchy::load`] without window-statistics recording: the
-    /// priming pass's fast path. State evolution (tags, LRU stamps, stream
-    /// detectors, DRAM rows, write buffer) and the returned cost are
-    /// bit-identical to `load`.
-    pub fn prime_load(&mut self, addr: Addr, now: f64) -> AccessCost {
-        self.load_inner::<false>(addr, now)
+        self.fetch(0, 0, addr, now, Supplier::Dram(FillOrigin::Load))
     }
 
     /// Charges one load whose last-level fill is supplied *remotely* (over a
-    /// bus or network) instead of by local DRAM.
-    ///
-    /// The walk and intermediate fill accounting are identical to
-    /// [`MemoryHierarchy::load`], but when the line would have to come from
-    /// DRAM the cost is obtained from `remote_fill` (called with the
-    /// simulated time at which the fill starts). This is how the coherence
-    /// layer models the DEC 8400's pull: a consumer miss becomes a coherent
-    /// bus transaction supplied by the owner's cache or home memory.
-    pub fn load_remote(
+    /// bus or network) instead of by local DRAM: `remote_fill` is called
+    /// with the simulated time at which the fill starts and returns its
+    /// cycles. This is how the coherence layer models the DEC 8400's pull:
+    /// a consumer miss becomes a coherent bus transaction supplied by the
+    /// owner's cache or home memory.
+    pub fn load_supplied(
         &mut self,
         addr: Addr,
         now: f64,
         remote_fill: &mut dyn FnMut(f64) -> f64,
     ) -> AccessCost {
-        let mut cycles = 0.0;
-        let n = self.caches.len();
-        let mut supplier: Option<usize> = None;
-        let mut missed_through = 0usize;
-
-        for i in 0..n {
-            let outcome = self.caches[i].access(addr, AccessKind::Read);
-            match outcome {
-                LookupOutcome::Hit => {
-                    self.level_stats[i].hits += 1;
-                    supplier = Some(i);
-                    break;
-                }
-                LookupOutcome::Miss { victim_dirty, .. } => {
-                    self.level_stats[i].misses += 1;
-                    if victim_dirty {
-                        self.level_stats[i].write_backs += 1;
-                        cycles += self.config.levels[i].write_back_cycles;
-                    }
-                    missed_through = i + 1;
-                }
-            }
-        }
-
-        for i in (0..missed_through).rev() {
-            let level_cfg = &self.config.levels[i];
-            let line = self.caches[i].line_of(addr);
-            let fills_remotely = i + 1 == n && supplier.is_none();
-            if fills_remotely {
-                cycles += remote_fill(now + cycles);
-            } else {
-                let streamed = match &mut self.streams[i] {
-                    Some(det) => det.observe(line),
-                    None => false,
-                };
-                if streamed {
-                    self.level_stats[i].streamed_fills += 1;
-                    cycles += level_cfg.streamed_fill_cycles;
-                } else {
-                    self.level_stats[i].unstreamed_fills += 1;
-                    cycles += level_cfg.fill_cycles;
-                }
-            }
-        }
-
-        let served_by = match supplier {
-            Some(i) => ServedBy::Level(i),
-            None => {
-                if n == 0 {
-                    cycles += remote_fill(now);
-                }
-                ServedBy::Dram
-            }
-        };
-        AccessCost { cycles, served_by }
+        self.fetch(0, 0, addr, now, Supplier::Remote(remote_fill))
     }
 
-    /// The store walk, monomorphized like [`MemoryHierarchy::load_inner`].
-    #[inline]
-    fn store_inner<const STATS: bool>(&mut self, addr: Addr, now: f64) -> AccessCost {
+    /// Charges one store at simulated time `now`.
+    pub fn store(&mut self, addr: Addr, now: f64) -> AccessCost {
         let mut cycles = 0.0;
-        let n = self.caches.len();
-
-        for i in 0..n {
-            let policy = self.config.levels[i].cache.write_policy;
-            let outcome = self.caches[i].access(addr, AccessKind::Write);
-            match (policy, outcome) {
-                (WritePolicy::WriteBack, LookupOutcome::Hit) => {
-                    // Absorbed: line dirtied in place.
-                    if STATS {
-                        self.level_stats[i].hits += 1;
-                    }
+        for i in 0..self.caches.len() {
+            if self.config.levels[i].cache.write_policy == WritePolicy::WriteThrough {
+                // Updated in place if present, and forwarded downward.
+                let _ = self.caches[i].access(addr, AccessKind::Write);
+                continue;
+            }
+            match self.caches[i].access(addr, AccessKind::Write) {
+                // Absorbed: line dirtied in place.
+                LookupOutcome::Hit => {
                     return AccessCost {
                         cycles,
                         served_by: ServedBy::Level(i),
                     };
                 }
-                (
-                    WritePolicy::WriteBack,
-                    LookupOutcome::Miss {
-                        victim_dirty,
-                        allocated,
-                    },
-                ) => {
-                    if STATS {
-                        self.level_stats[i].misses += 1;
-                    }
+                LookupOutcome::Miss {
+                    victim_dirty,
+                    allocated,
+                } => {
                     if victim_dirty {
-                        if STATS {
-                            self.level_stats[i].write_backs += 1;
-                        }
                         cycles += self.config.levels[i].write_back_cycles;
                     }
                     if allocated {
                         // Read-modify-write: fetch the line from below, then
                         // the store is absorbed here.
-                        cycles += self.fill_chain_inner::<STATS>(i, addr, now + cycles);
+                        let supplier = Supplier::Dram(FillOrigin::Store);
+                        cycles += self.fetch(i, i + 1, addr, now + cycles, supplier).cycles;
                         return AccessCost {
                             cycles,
                             served_by: ServedBy::Level(i),
@@ -611,26 +545,12 @@ impl MemoryHierarchy {
                     }
                     // Non-allocating store miss continues downward.
                 }
-                (WritePolicy::WriteThrough, LookupOutcome::Hit) => {
-                    // Updated in place but still forwarded downward.
-                    if STATS {
-                        self.level_stats[i].hits += 1;
-                    }
-                }
-                (WritePolicy::WriteThrough, LookupOutcome::Miss { .. }) => {
-                    if STATS {
-                        self.level_stats[i].misses += 1;
-                    }
-                }
             }
         }
 
         // The store fell through every cache level.
         if let Some(wb) = &mut self.write_buffer {
             let out = wb.push(addr, now + cycles);
-            if STATS {
-                self.wb_stalls += out.stall_cycles;
-            }
             cycles += out.stall_cycles;
             if !out.coalesced {
                 // A new entry means one more drain the DRAM pipe owes; the
@@ -649,76 +569,6 @@ impl MemoryHierarchy {
             cycles,
             served_by: ServedBy::Dram,
         }
-    }
-
-    /// Charges one store at simulated time `now`.
-    pub fn store(&mut self, addr: Addr, now: f64) -> AccessCost {
-        self.store_inner::<true>(addr, now)
-    }
-
-    /// [`MemoryHierarchy::store`] without window-statistics recording (see
-    /// [`MemoryHierarchy::prime_load`]).
-    pub fn prime_store(&mut self, addr: Addr, now: f64) -> AccessCost {
-        self.store_inner::<false>(addr, now)
-    }
-
-    /// Cost of bringing the line containing `addr` into level `i` from the
-    /// levels below, walking tags downward (used by store write-allocate).
-    #[inline]
-    fn fill_chain_inner<const STATS: bool>(&mut self, i: usize, addr: Addr, now: f64) -> f64 {
-        let n = self.caches.len();
-        let mut cycles = 0.0;
-        let mut supplier: Option<usize> = None;
-        let mut missed_through = i + 1;
-        for j in (i + 1)..n {
-            let outcome = self.caches[j].access(addr, AccessKind::Read);
-            match outcome {
-                LookupOutcome::Hit => {
-                    if STATS {
-                        self.level_stats[j].hits += 1;
-                    }
-                    supplier = Some(j);
-                    break;
-                }
-                LookupOutcome::Miss { victim_dirty, .. } => {
-                    if STATS {
-                        self.level_stats[j].misses += 1;
-                    }
-                    if victim_dirty {
-                        if STATS {
-                            self.level_stats[j].write_backs += 1;
-                        }
-                        cycles += self.config.levels[j].write_back_cycles;
-                    }
-                    missed_through = j + 1;
-                }
-            }
-        }
-        for j in (i..missed_through).rev() {
-            let level_cfg = &self.config.levels[j];
-            let line = self.caches[j].line_of(addr);
-            let fills_from_dram = j + 1 == n && supplier.is_none();
-            if fills_from_dram {
-                cycles += self.dram_fill_cost_inner::<STATS>(addr, now + cycles, FillOrigin::Store);
-            } else {
-                let streamed = match &mut self.streams[j] {
-                    Some(det) => det.observe(line),
-                    None => false,
-                };
-                if streamed {
-                    if STATS {
-                        self.level_stats[j].streamed_fills += 1;
-                    }
-                    cycles += level_cfg.streamed_fill_cycles;
-                } else {
-                    if STATS {
-                        self.level_stats[j].unstreamed_fills += 1;
-                    }
-                    cycles += level_cfg.fill_cycles;
-                }
-            }
-        }
-        cycles
     }
 
     /// Drains any pending write-buffer entries, returning the cost.
@@ -921,10 +771,10 @@ mod tests {
     }
 
     #[test]
-    fn load_remote_replaces_dram_fill() {
+    fn a_supplied_load_replaces_the_dram_fill() {
         let mut h = MemoryHierarchy::new(two_level(), 1.0).unwrap();
         let mut calls = 0;
-        let c = h.load_remote(1 << 20, 0.0, &mut |_t| {
+        let c = h.load_supplied(1 << 20, 0.0, &mut |_t| {
             calls += 1;
             100.0
         });
@@ -932,7 +782,7 @@ mod tests {
         // L1 fill (6) + remote fill (100).
         assert_eq!(c.cycles, 106.0);
         // A hit afterwards never consults the remote supplier.
-        let c2 = h.load_remote(1 << 20, 1.0, &mut |_t| panic!("must not be called"));
+        let c2 = h.load_supplied(1 << 20, 1.0, &mut |_t| panic!("must not be called"));
         assert_eq!(c2.cycles, 0.0);
     }
 

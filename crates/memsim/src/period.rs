@@ -1,7 +1,7 @@
 //! Exact fast-forward of a periodic priming pass.
 //!
 //! The paper starts every measurement "with a primed cache for exactly that
-//! working set", and [`MemoryEngine::prime_trace`] primes literally. Once a
+//! working set", and a literal [`MemoryEngine::prime`] simulates it. Once a
 //! strided pass has swept more than the caches hold, the hierarchy settles
 //! into a steady state that moves with the addresses: after a lag of `P`
 //! accesses, whose address shift `Δ` is a multiple of every (related)
@@ -97,7 +97,7 @@ pub(crate) fn prime(e: &mut MemoryEngine, mut trace: impl Iterator<Item = Access
     let granules = [Mode::Related, Mode::PassThrough].map(|m| granule(&e.hierarchy, m));
     if granules == [None, None] {
         for a in trace {
-            e.prime_step(a);
+            e.step(a);
         }
         return;
     }
@@ -109,7 +109,7 @@ pub(crate) fn prime(e: &mut MemoryEngine, mut trace: impl Iterator<Item = Access
         let quiet = Quiet::of(&e.hierarchy);
         let mut window = chunk;
         if let Some(a) = held.take() {
-            e.prime_step(a);
+            e.step(a);
             window += 1;
         }
         // The chunk's last four accesses foretell the stream, and so the
@@ -117,11 +117,11 @@ pub(crate) fn prime(e: &mut MemoryEngine, mut trace: impl Iterator<Item = Access
         let mut tail = [Access::read(0); 4];
         for _ in 0..chunk - 4 {
             let Some(a) = trace.next() else { return };
-            e.prime_step(a);
+            e.step(a);
         }
         for slot in &mut tail {
             let Some(a) = trace.next() else { return };
-            e.prime_step(a);
+            e.step(a);
             *slot = a;
         }
         let Some((mode, granule)) = quiet.choose(&e.hierarchy, granules) else {
@@ -463,7 +463,14 @@ fn audit(h: &mut MemoryHierarchy, on: bool) -> bool {
 fn counters(h: &MemoryHierarchy, levels: usize) -> Vec<u64> {
     let mut out = Vec::new();
     for c in &h.caches[..levels] {
-        out.extend([c.tick, c.hits, c.misses, c.write_backs, c.cold_fills]);
+        out.extend([
+            c.tick,
+            c.hits,
+            c.misses,
+            c.write_backs,
+            c.fills,
+            c.cold_fills,
+        ]);
     }
     for (d, _) in detectors(h) {
         out.extend([d.tick, d.streamed, d.unstreamed, d.allocations]);
@@ -484,6 +491,7 @@ fn advance_counters(h: &mut MemoryHierarchy, levels: usize, inc: &[u64], times: 
             &mut c.hits,
             &mut c.misses,
             &mut c.write_backs,
+            &mut c.fills,
             &mut c.cold_fills,
         ] {
             bump(field);
@@ -1003,7 +1011,7 @@ fn run_period(
         if a != c.expect() {
             return Err(Outcome::Failed(Some(a)));
         }
-        let cycles = e.prime_step(a);
+        let cycles = e.step(a);
         c.advance();
         if record {
             *cost = cycles;
@@ -1083,7 +1091,7 @@ fn attempt(
         let Some(a) = trace.next() else {
             return (Outcome::Ended, 0);
         };
-        e.prime_step(a);
+        e.step(a);
         *slot = a;
     }
     let Some((mut c, lag)) = Cursor::after(&x).and_then(|c| Some((c, c.lag(granule)?))) else {
@@ -1243,7 +1251,7 @@ fn replay(
         out = Outcome::Failed(a);
     }
     for _ in 0..drawn {
-        e.prime_step(real.expect());
+        e.step(real.expect());
         real.advance();
     }
     out
@@ -1257,15 +1265,13 @@ mod tests {
     use crate::trace::{StorePass, StridedPass};
 
     /// Primes one engine through the fast-forward and one literally (the
-    /// full-statistics path), asserts they end in the same state and
-    /// returns how many accesses the fast-forward replayed.
+    /// `--cold` path), asserts they end in the same state and returns how
+    /// many accesses the fast-forward replayed.
     fn replayed(node: NodeConfig, trace: &[Access]) -> u64 {
         let mut fast = MemoryEngine::new(node);
         let mut literal = fast.clone();
         fast.prime_trace(trace.iter().copied());
-        literal.run_trace(trace.iter().copied());
-        fast.hierarchy_mut().reset_window_stats();
-        literal.hierarchy_mut().reset_window_stats();
+        literal.prime(trace.iter().copied(), true);
         assert_eq!(fast.now().to_bits(), literal.now().to_bits(), "clock");
         assert!(fast.hierarchy() == literal.hierarchy(), "hierarchy state");
         fast.replayed_accesses()

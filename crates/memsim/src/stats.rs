@@ -17,18 +17,6 @@ pub struct LevelStats {
     pub write_backs: u64,
 }
 
-impl LevelStats {
-    /// Hit rate in `[0, 1]`; 0 when the level saw no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Aggregate result of running a trace through a [`crate::engine::MemoryEngine`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
@@ -57,41 +45,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Cycles per access; 0 when the run was empty.
-    pub fn cycles_per_access(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.cycles / self.accesses as f64
-        }
-    }
-
-    /// Merges another run's counters into this one (used by multi-phase
-    /// benchmarks that time several traces as one measurement).
-    pub fn merge(&mut self, other: &RunStats) {
-        self.accesses += other.accesses;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.cycles += other.cycles;
-        self.bytes += other.bytes;
-        if self.levels.len() < other.levels.len() {
-            self.levels
-                .resize(other.levels.len(), LevelStats::default());
-        }
-        for (mine, theirs) in self.levels.iter_mut().zip(other.levels.iter()) {
-            mine.hits += theirs.hits;
-            mine.misses += theirs.misses;
-            mine.streamed_fills += theirs.streamed_fills;
-            mine.unstreamed_fills += theirs.unstreamed_fills;
-            mine.write_backs += theirs.write_backs;
-        }
-        self.dram_accesses += other.dram_accesses;
-        self.dram_row_hits += other.dram_row_hits;
-        self.dram_bank_conflicts += other.dram_bank_conflicts;
-        self.dram_streamed_fills += other.dram_streamed_fills;
-        self.write_buffer_stall_cycles += other.write_buffer_stall_cycles;
-    }
-
     /// Exports the run's counters into `out` for the observability layer.
     ///
     /// Cycle quantities are rounded to whole cycles so the export stays in
@@ -128,22 +81,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_rate_handles_empty() {
-        assert_eq!(LevelStats::default().hit_rate(), 0.0);
-        let s = LevelStats {
-            hits: 3,
-            misses: 1,
-            ..Default::default()
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cycles_per_access_handles_empty() {
-        assert_eq!(RunStats::default().cycles_per_access(), 0.0);
-    }
-
-    #[test]
     fn export_counters_names_levels_top_first() {
         let stats = RunStats {
             accesses: 10,
@@ -173,46 +110,5 @@ mod tests {
         assert_eq!(out.get("l2_write_backs"), 2);
         assert_eq!(out.get("dram_accesses"), 1);
         assert_eq!(out.get("write_buffer_stall_cycles"), 3);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = RunStats {
-            accesses: 10,
-            reads: 10,
-            cycles: 100.0,
-            bytes: 80,
-            levels: vec![LevelStats {
-                hits: 5,
-                misses: 5,
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-        let b = RunStats {
-            accesses: 6,
-            writes: 6,
-            cycles: 30.0,
-            bytes: 48,
-            levels: vec![
-                LevelStats {
-                    hits: 1,
-                    misses: 5,
-                    ..Default::default()
-                },
-                LevelStats {
-                    hits: 2,
-                    misses: 3,
-                    ..Default::default()
-                },
-            ],
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.accesses, 16);
-        assert_eq!(a.cycles, 130.0);
-        assert_eq!(a.levels.len(), 2);
-        assert_eq!(a.levels[0].hits, 6);
-        assert_eq!(a.levels[1].misses, 3);
     }
 }

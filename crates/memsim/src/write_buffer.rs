@@ -85,7 +85,9 @@ pub struct WriteBuffer {
     entries_drained: u64,
     stores: u64,
     coalesced_stores: u64,
-    stall_total: f64,
+    /// Stall cycles since the last reset or the start of the owning
+    /// hierarchy's statistics window.
+    pub(crate) stall_total: f64,
 }
 
 impl WriteBuffer {
@@ -129,7 +131,8 @@ impl WriteBuffer {
         self.entries_drained
     }
 
-    /// Total processor stall cycles caused by a full queue.
+    /// Total processor stall cycles caused by a full queue since the last
+    /// reset (or, in a hierarchy, since its statistics window began).
     pub fn total_stall_cycles(&self) -> f64 {
         self.stall_total
     }

@@ -224,7 +224,7 @@ impl CommonOpts {
     }
 
     /// Parses the shared options out of an already-split flag list
-    /// (`--cold` runs in a cold context: no probe memo, full-statistics
+    /// (`--cold` runs in a cold context: no probe memo, literal
     /// priming, the same answers at every tier).
     fn parse(flags: &[(String, String)]) -> CommonOpts {
         let tier = match flag(flags, "tier") {

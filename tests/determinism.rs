@@ -175,12 +175,14 @@ fn parallel_cli_sweeps_write_byte_identical_checkpoints() {
 }
 
 /// The warm path's acceptance bar: a default (warm) sweep — memoized
-/// probes, stats-free priming, run-granular scheduling, batched fsync —
+/// probes, fast-forwarded priming, run-granular scheduling, batched fsync —
 /// leaves a checkpoint byte-identical to a `--cold` sweep (no memo,
-/// full-statistics priming, fsync per cell) at every thread count, for
-/// every reference machine, and so does a `--tier auto` sweep: `--cold`
-/// never changes which tier answers a cell. The warm path is an
-/// optimization, never a different answer.
+/// literal priming, fsync per cell) at every thread count, for every
+/// reference machine, and so does a `--tier auto` sweep: `--cold` never
+/// changes which tier answers a cell. The `--counters` reports of the cold
+/// and the one-thread warm sweep are byte-identical too: a fast-forwarded
+/// prime leaves every mechanism counter of the measured pass as a literal
+/// one does. The warm path is an optimization, never a different answer.
 #[test]
 fn warm_sweeps_write_byte_identical_checkpoints_to_cold_sweeps() {
     let scratch = |tag: &str| {
@@ -208,15 +210,29 @@ fn warm_sweeps_write_byte_identical_checkpoints_to_cold_sweeps() {
     };
     for machine in ["dec8400", "t3d", "t3e"] {
         let cold_ckpt = scratch(&format!("{machine}-cold"));
+        let cold_counters = scratch(&format!("{machine}-cold-counters"));
         sweep(
             machine,
             &cold_ckpt,
-            &["--cold", "--fsync-every", "1", "--threads", "1"],
+            &[
+                "--cold",
+                "--fsync-every",
+                "1",
+                "--threads",
+                "1",
+                "--counters",
+                cold_counters.to_str().unwrap(),
+            ],
         );
         let cold = std::fs::read(&cold_ckpt).unwrap();
+        let warm_counters = scratch(&format!("{machine}-warm-counters"));
         for threads in ["1", "2", "4"] {
             let warm_ckpt = scratch(&format!("{machine}-warm-{threads}"));
-            sweep(machine, &warm_ckpt, &["--threads", threads]);
+            let mut extra = vec!["--threads", threads];
+            if threads == "1" {
+                extra.extend(["--counters", warm_counters.to_str().unwrap()]);
+            }
+            sweep(machine, &warm_ckpt, &extra);
             let warm = std::fs::read(&warm_ckpt).unwrap();
             assert_eq!(
                 cold, warm,
@@ -224,7 +240,14 @@ fn warm_sweeps_write_byte_identical_checkpoints_to_cold_sweeps() {
             );
             let _ = std::fs::remove_file(&warm_ckpt);
         }
-        let _ = std::fs::remove_file(&cold_ckpt);
+        assert_eq!(
+            std::fs::read(&cold_counters).unwrap(),
+            std::fs::read(&warm_counters).unwrap(),
+            "{machine}: warm counter report must match --cold"
+        );
+        for f in [&cold_ckpt, &cold_counters, &warm_counters] {
+            let _ = std::fs::remove_file(f);
+        }
         let auto = |tag: &str, extra: &[&str]| {
             let ckpt = scratch(&format!("{machine}-auto-{tag}"));
             sweep(machine, &ckpt, &[&["--tier", "auto"], extra].concat());

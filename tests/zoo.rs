@@ -381,9 +381,7 @@ fn fast_forwarded_prime_is_the_literal_prime_on_every_zoo_machine() {
                 let mut fast = MemoryEngine::new(spec.node_config().clone());
                 let mut literal = fast.clone();
                 fast.prime_trace(prime.iter().copied());
-                literal.run_trace(prime.iter().copied());
-                fast.hierarchy_mut().reset_window_stats();
-                literal.hierarchy_mut().reset_window_stats();
+                literal.prime(prime.iter().copied(), true);
                 assert_eq!(
                     fast.now().to_bits(),
                     literal.now().to_bits(),
